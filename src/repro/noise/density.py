@@ -24,9 +24,9 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.result import CompiledCircuit
+from repro.noise.kernel import EmbeddingTable
 from repro.noise.model import NoiseModel, NoiseSpec, resolve_model
 from repro.noise.trajectory import TrajectoryEngine
-from repro.pulses.unitaries import qubit_gate
 from repro.simulation.verify import (
     VerificationError,
     embed_on_slots,
@@ -36,8 +36,6 @@ from repro.simulation.verify import (
 
 #: Largest register (in physical units) the reference path accepts.
 MAX_REFERENCE_UNITS = 3
-
-_PAULI_NAMES = ("x", "y", "z")
 
 
 def _check_size(compiled: CompiledCircuit) -> tuple[int, ...]:
@@ -60,12 +58,12 @@ def _depolarize(
     if probability <= 0.0 or not slots:
         return rho
     identity = np.eye(rho.shape[0], dtype=complex)
+    table = EmbeddingTable(dims)
     per_slot = []
     for unit, slot in slots:
         embedded = [identity]
-        for name in _PAULI_NAMES:
-            matrix, units = embed_on_slots(dims, qubit_gate(name), ((unit, slot),))
-            embedded.append(_lift(matrix, units, dims))
+        for code in (1, 2, 3):
+            embedded.append(_lift(*table.pauli(unit, slot, code), dims))
         per_slot.append(embedded)
     # every non-identity Pauli string over the touched slots
     strings: list[np.ndarray] = []

@@ -1,13 +1,8 @@
 """Fused shot-evolution kernel programs for the trajectory hot path.
 
-Both batched trajectory engines used to execute op-at-a-time: one stacked
-GEMM (or masked Kraus pass) per physical op per block, each call
-re-deriving the op's permutation axes, reshape shapes and wide/stacked
-layout decision, and each call paying a full gather *and* scatter pass
-over the block's amplitudes.  This module compiles each
-:class:`~repro.compiler.result.CompiledCircuit` **once** into a flat
-kernel program that the engine's block loops execute without per-op
-Python dispatch:
+This module compiles each :class:`~repro.compiler.result.CompiledCircuit`
+**once** into a flat kernel program that the engine's block walker
+executes without per-op Python dispatch:
 
 * :func:`build_plan` precomputes every op's permutation/reshape plan —
   target axis order, GEMM operand shape, wide-panel eligibility — so the
@@ -23,22 +18,22 @@ Python dispatch:
   with **zero** copies between them — the layout-level folding of
   adjacent same-unit unitaries.  This halves the memory traffic of the
   tracked path, which is memory-bound at register dimension >= 512.
+* :class:`EmbeddingTable` embeds the single-slot operators (Paulis,
+  measurement projectors, damping Kraus operators) once per register, for
+  the scalar reference, the engine's canonical-layout op step and the
+  schedule's noise sites alike.
 * :class:`EventKernel` is the event-only engine's program: one fused
   threshold vector compared against the whole draw matrix in a single
   vectorised pass.
 
 Bit-equality invariant: the fused program performs the **same arithmetic
-on the same values in the same order** as the op-at-a-time path.  Layout
-transitions compose transposes — exact index bookkeeping — and every GEMM
-operand is materialised C-contiguous exactly where the eager pipeline's
-reshape copy would have materialised it, so each GEMM consumes
-bit-identical memory and produces bit-identical output.  The golden tests
-assert fused chunks ``==`` the retained scalar ``run_reference`` across
-presets x strategies x seeds x block splits.  The one deliberate
-exception is :func:`fold_matrix_runs` (engine flag ``fold_matrices``):
-multiplying adjacent same-unit matrices into one GEMM is numerically
-equivalent but *not* bit-identical, so it is opt-in and excluded from the
-golden contract.
+on the same values in the same order** as the canonical-layout per-op
+step.  Layout transitions compose transposes — exact index bookkeeping —
+and every GEMM operand is materialised C-contiguous exactly where the
+eager pipeline's reshape copy would have materialised it, so each GEMM
+consumes bit-identical memory and produces bit-identical output.  The
+golden tests assert fused chunks ``==`` the retained scalar
+``run_reference`` across presets x strategies x seeds x block splits.
 
 Kernel schedules are cached on the compiled artifact
 (:meth:`~repro.compiler.result.CompiledCircuit.cached_schedule`), keyed
@@ -56,9 +51,6 @@ import numpy as np
 from repro.pulses.unitaries import qubit_gate
 from repro.simulation.batched import _wide_panels_bitstable
 from repro.simulation.verify import embed_on_slots
-
-#: Pauli codes used when a depolarizing event fires (0 = identity).
-_PAULI_NAMES = ("i", "x", "y", "z")
 
 
 # ----------------------------------------------------------------------
@@ -117,6 +109,68 @@ def build_plan(dims: tuple[int, ...], units: tuple[int, ...]) -> ApplyPlan:
         units=units, sub_dim=sub_dim, rest=rest, wide=wide,
         axes=tuple(axes), shape_template=shape_template,
     )
+
+
+# ----------------------------------------------------------------------
+# the embedding table: single-slot operators, embedded once per register
+# ----------------------------------------------------------------------
+#: Pauli codes used when a depolarizing event fires (0 = identity).
+PAULI_NAMES = ("i", "x", "y", "z")
+
+#: An embedded operator and the physical units it acts on.
+Embedded = tuple[np.ndarray, tuple[int, ...]]
+
+
+class EmbeddingTable:
+    """Single-slot operators embedded on one register, each built once.
+
+    Every tracked path over a register draws its Paulis, measurement
+    projectors and damping Kraus operators from a table like this one, so
+    the scalar reference, the batched canonical-layout op step and the
+    schedule's :class:`NoiseSite` items apply identical arrays.  Entries
+    are the ``(matrix, units)`` pairs ``apply``/``apply_kraus`` take;
+    :meth:`plan` adds the cached :class:`ApplyPlan` of a unit tuple.
+    """
+
+    def __init__(self, dims: tuple[int, ...]) -> None:
+        self.dims = tuple(int(d) for d in dims)
+        self._operators: dict[tuple, Embedded] = {}
+        self._plans: dict[tuple[int, ...], ApplyPlan] = {}
+
+    def plan(self, units: tuple[int, ...]) -> ApplyPlan:
+        """The :class:`ApplyPlan` for ``units``, built once."""
+        plan = self._plans.get(units)
+        if plan is None:
+            plan = self._plans[units] = build_plan(self.dims, units)
+        return plan
+
+    def _embedded(self, key: tuple, unit: int, slot: int, matrix) -> Embedded:
+        entry = self._operators.get((key, unit, slot))
+        if entry is None:
+            entry = embed_on_slots(self.dims, matrix(), ((unit, slot),))
+            self._operators[(key, unit, slot)] = entry
+        return entry
+
+    def pauli(self, unit: int, slot: int, code: int) -> Embedded:
+        """Pauli ``code`` (1=X, 2=Y, 3=Z) on the encoded qubit at ``(unit, slot)``."""
+        return self._embedded(("pauli", code), unit, slot,
+                              lambda: qubit_gate(PAULI_NAMES[code]))
+
+    def projector(self, unit: int, slot: int, outcome: int) -> Embedded:
+        """Measurement projector ``|outcome><outcome|`` at ``(unit, slot)``."""
+        return self._embedded(("projector", outcome), unit, slot,
+                              lambda: np.diag(np.arange(2) == outcome).astype(complex))
+
+    def damping_jump(self, unit: int, slot: int) -> Embedded:
+        """The jump operator K1 ∝ |0><1| at ``(unit, slot)``."""
+        return self._embedded(("jump",), unit, slot,
+                              lambda: np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+    def damping_survival(self, unit: int, slot: int, gamma: float) -> Embedded:
+        """The no-jump operator K0 = diag(1, sqrt(1-gamma)) at ``(unit, slot)``."""
+        return self._embedded(("survival", gamma), unit, slot, lambda: np.array(
+            [[1.0, 0.0], [0.0, np.sqrt(max(0.0, 1.0 - gamma))]], dtype=complex
+        ))
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +291,8 @@ class KernelSchedule:
     ``segments`` alternates :class:`FusedRun` stretches with bare op
     indices — the dynamic ops (mid-circuit measurement/reset, conditioned
     ops) the engine must handle in canonical layout with per-lane branch
-    masks.  Static circuits compile to a single fused run.
+    masks.  Static circuits compile to a single fused run; a schedule of
+    bare indices only is the unfused per-op baseline.
     """
 
     dims: tuple[int, ...]
@@ -315,26 +370,11 @@ def compile_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSch
 
 
 def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSchedule:
-    plans: dict[tuple[int, ...], ApplyPlan] = {}
-    embeds: dict[tuple[int, int, int], tuple[np.ndarray, ApplyPlan]] = {}
-
-    def plan_for(units: tuple[int, ...]) -> ApplyPlan:
-        plan = plans.get(units)
-        if plan is None:
-            plan = build_plan(dims, units)
-            plans[units] = plan
-        return plan
+    table = EmbeddingTable(dims)
 
     def pauli_for(unit: int, slot: int, code: int) -> tuple[np.ndarray, ApplyPlan]:
-        key = (unit, slot, code)
-        entry = embeds.get(key)
-        if entry is None:
-            matrix, units = embed_on_slots(
-                dims, qubit_gate(_PAULI_NAMES[code]), ((unit, slot),)
-            )
-            entry = (matrix, plan_for(units))
-            embeds[key] = entry
-        return entry
+        matrix, units = table.pauli(unit, slot, code)
+        return matrix, table.plan(units)
 
     segments: list[FusedRun | int] = []
     items: list[UnitaryStep | NoiseSite] = []
@@ -357,7 +397,7 @@ def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSche
         embedded = op_unitaries[index]
         if embedded is not None:
             matrix, units = embedded
-            items.append(UnitaryStep(index, matrix, plan_for(tuple(units))))
+            items.append(UnitaryStep(index, matrix, table.plan(tuple(units))))
         if op.slots:
             slots = tuple(op.slots)
             items.append(
@@ -373,50 +413,6 @@ def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSche
             )
     flush()
     return KernelSchedule(dims=dims, segments=tuple(segments), num_ops=len(compiled.ops))
-
-
-def fold_matrix_runs(schedule: KernelSchedule, op_probs: np.ndarray) -> KernelSchedule:
-    """Matrix-fold adjacent same-unit unitaries (opt-in, not bit-identical).
-
-    Multiplies adjacent :class:`UnitaryStep` matrices on the same unit
-    tuple into one GEMM.  The product is numerically equivalent (to float
-    rounding) but **not** bit-identical to sequential GEMMs, so this mode
-    is excluded from the golden bit-equality contract — reach it through
-    ``TrajectoryEngine(..., fold_matrices=True)``.  Noise sites that can
-    never fire under ``op_probs`` (probability exactly 0) are dropped; a
-    site that can fire breaks a fold, because a sampled Pauli must land
-    between the two unitaries it separates.
-    """
-    folded: list[FusedRun | int] = []
-    for segment in schedule.segments:
-        if not isinstance(segment, FusedRun):
-            folded.append(segment)
-            continue
-        items: list[UnitaryStep | NoiseSite] = []
-        for item in segment.items:
-            if type(item) is NoiseSite and float(op_probs[item.op_index]) <= 0.0:
-                continue
-            if (
-                type(item) is UnitaryStep
-                and items
-                and type(items[-1]) is UnitaryStep
-                and items[-1].plan.units == item.plan.units
-            ):
-                previous = items[-1]
-                items[-1] = UnitaryStep(
-                    previous.op_index, item.matrix @ previous.matrix, previous.plan
-                )
-            else:
-                items.append(item)
-        folded.append(
-            FusedRun(
-                items=tuple(items),
-                unitaries=tuple(i for i in items if type(i) is UnitaryStep),
-            )
-        )
-    return KernelSchedule(
-        dims=schedule.dims, segments=tuple(folded), num_ops=schedule.num_ops
-    )
 
 
 # ----------------------------------------------------------------------

@@ -36,17 +36,20 @@ whose encode/decode ops are modelled as slot transports (see
 :func:`repro.simulation.verify.physical_op_unitary`).
 
 The state-tracking path is chunk-batched too: a block of shots evolves as
-one :class:`~repro.simulation.batched.BatchedMixedRadixState` (each op's
-unitary hits the whole block in one stacked GEMM; sampled Paulis and
-damping jumps touch only the lanes whose error fired), and the per-shot
-RNG streams advance through :class:`repro.noise.rng.GeneratorLanes`, which
-replicates ``Generator.integers``' 32-bit bounded path bit for bit.  The
-scalar loop remains the golden ``run_reference``; the batched path is
-asserted bit-identical to it, chunk for chunk.
+one :class:`~repro.simulation.batched.BatchedMixedRadixState`, walked
+through the circuit's kernel schedule (:mod:`repro.noise.kernel`: fused
+runs of static ops, bare canonical-layout steps for the dynamic ops
+between them; sampled Paulis and damping jumps touch only the lanes whose
+error fired), and the per-shot RNG streams advance through
+:class:`repro.noise.rng.GeneratorLanes`, which replicates
+``Generator.integers``' 32-bit bounded path bit for bit.  The scalar loop
+remains the golden ``run_reference``; the batched path is asserted
+bit-identical to it, chunk for chunk.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,26 +57,21 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler.result import CompiledCircuit
 from repro.noise.kernel import (
+    EmbeddingTable,
     KernelSchedule,
     build_event_kernel,
     compile_schedule,
-    fold_matrix_runs,
 )
 from repro.noise.model import NoiseModel, NoiseSpec, resolve_model
 from repro.noise.result import NoisyResult, TrajectoryChunk
 from repro.noise.rng import GeneratorLanes, uniform_streams
-from repro.pulses.unitaries import qubit_gate
 from repro.simulation.batched import BatchedMixedRadixState
 from repro.simulation.statevector import MixedRadixState
 from repro.simulation.verify import (
     VerificationError,
-    embed_on_slots,
     physical_op_unitary,
     register_dims,
 )
-
-#: Pauli codes used when a depolarizing event fires (0 = identity).
-_PAULI_NAMES = ("i", "x", "y", "z")
 
 #: Shots per vectorised block in the event-only path.  Bounds the size of
 #: the per-block draw matrix (``block x draws_per_shot`` float64) while
@@ -124,15 +122,12 @@ class TrajectoryEngine:
         ``merge_single_qubit_gates=False``; the FQ baseline always
         schedules unmerged).
     use_kernel:
-        ``True`` (the default) executes the pre-compiled fused kernel
-        program (:mod:`repro.noise.kernel`) in both batched paths —
-        bit-identical to the op-at-a-time loop, which ``False`` retains
-        for A/B benchmarking and as a fallback.
-    fold_matrices:
-        Opt-in: additionally matrix-fold adjacent same-unit unitaries
-        into single GEMMs.  Numerically equivalent but **not**
-        bit-identical to the reference path (float rounding differs), so
-        it is excluded from the golden contract.
+        ``True`` (the default) walks the pre-compiled fused kernel
+        program (:mod:`repro.noise.kernel`) when tracking state.
+        ``False`` walks an all-bare schedule instead — every op one
+        canonical-layout step, bit-identical and unfused — which is the
+        A/B baseline of the kernel benchmark.  The event-only path
+        ignores it.
     """
 
     def __init__(
@@ -141,13 +136,11 @@ class TrajectoryEngine:
         model: NoiseModel | NoiseSpec,
         track_state: bool = False,
         use_kernel: bool = True,
-        fold_matrices: bool = False,
     ) -> None:
         self.compiled = compiled
         self.model = resolve_model(model, compiled.device)
         self.track_state = bool(track_state)
         self.use_kernel = bool(use_kernel)
-        self.fold_matrices = bool(fold_matrices)
         if self.model.idle_policy == "kraus" and not self.track_state:
             # validate the policy/track_state combination eagerly: the kraus
             # unraveling needs the state (jump probability scales with the
@@ -165,22 +158,18 @@ class TrajectoryEngine:
         self._draws = len(compiled.ops) + len(self.idle_qubits)
         self._ideal_vector: np.ndarray | None = None
         self._op_unitaries: list[tuple[np.ndarray, tuple[int, ...]] | None] = []
-        self._pauli_cache: dict[tuple[int, int, int], tuple[np.ndarray, tuple[int, ...]]] = {}
-        self._projector_cache: dict[
-            tuple[int, int, int], tuple[np.ndarray, tuple[int, ...]]
-        ] = {}
+        self._embeds = EmbeddingTable(self.dims)
         self._event_kernel = build_event_kernel(self.op_probs, self.idle_gammas)
         self._schedule: KernelSchedule | None = None
         if self.track_state:
             self._prepare_replay()
-            if self.use_kernel or self.fold_matrices:
-                schedule = compile_schedule(self.compiled, self.dims, self._op_unitaries)
-                if self.fold_matrices:
-                    # folding depends on this engine's noise model (which
-                    # sites can fire), so the folded variant is per-engine
-                    # and never cached on the shared artifact
-                    schedule = fold_matrix_runs(schedule, self.op_probs)
-                self._schedule = schedule
+            if self.use_kernel:
+                self._schedule = compile_schedule(compiled, self.dims, self._op_unitaries)
+            else:
+                # per-engine and never memoised on the artifact: the
+                # conformance pass and other engines read that memo
+                num_ops = len(compiled.ops)
+                self._schedule = KernelSchedule(self.dims, tuple(range(num_ops)), num_ops)
 
     # ------------------------------------------------------------------
     # replay preparation (state-tracking mode)
@@ -212,28 +201,6 @@ class TrajectoryEngine:
                 state.apply(*embedded)
         self._ideal_vector = state.vector
 
-    def _embedded_pauli(self, unit: int, slot: int, code: int) -> tuple[np.ndarray, tuple[int, ...]]:
-        key = (unit, slot, code)
-        cached = self._pauli_cache.get(key)
-        if cached is None:
-            matrix = qubit_gate(_PAULI_NAMES[code])
-            cached = embed_on_slots(self.dims, matrix, ((unit, slot),))
-            self._pauli_cache[key] = cached
-        return cached
-
-    def _embedded_projector(
-        self, unit: int, slot: int, outcome: int
-    ) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Measurement projector ``|outcome><outcome|`` at ``(unit, slot)``."""
-        key = (unit, slot, outcome)
-        cached = self._projector_cache.get(key)
-        if cached is None:
-            matrix = np.zeros((2, 2), dtype=complex)
-            matrix[outcome, outcome] = 1.0
-            cached = embed_on_slots(self.dims, matrix, ((unit, slot),))
-            self._projector_cache[key] = cached
-        return cached
-
     @staticmethod
     def _condition_met(creg: int, condition: tuple[tuple[int, ...], int]) -> bool:
         """Evaluate a classical control against one shot's register value."""
@@ -252,41 +219,16 @@ class TrajectoryEngine:
             return (1,)
         return (2, 3) if slot == 0 else (1, 3)
 
-    def _embedded_damping_jump(self, unit: int, slot: int) -> tuple[np.ndarray, tuple[int, ...]]:
-        """The jump operator K1 ∝ |0><1|, embedded at ``(unit, slot)``."""
-        jump = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        return embed_on_slots(self.dims, jump, ((unit, slot),))
-
-    def _embedded_damping_survival(
-        self, unit: int, slot: int, gamma: float
-    ) -> tuple[np.ndarray, tuple[int, ...]]:
-        """The no-jump operator K0 = diag(1, sqrt(1-gamma)), embedded."""
-        k0 = np.array(
-            [[1.0, 0.0], [0.0, np.sqrt(max(0.0, 1.0 - gamma))]], dtype=complex
-        )
-        return embed_on_slots(self.dims, k0, ((unit, slot),))
-
-    def _excited_population(self, state: MixedRadixState, unit: int, slot: int) -> float:
-        """Population of the encoded qubit's |1> level at (unit, slot)."""
+    def _excited_population(
+        self, state: MixedRadixState | BatchedMixedRadixState, unit: int, slot: int
+    ) -> np.ndarray:
+        """|1> population of the encoded qubit at ``(unit, slot)`` (per lane on a batch)."""
         populations = state.unit_populations(unit)
         levels = self._excited_levels(unit, slot)
-        total = populations[levels[0]]
+        total = populations[..., levels[0]]
         for level in levels[1:]:
-            total = total + populations[level]
-        return float(total)
-
-    def _apply_damping_jump(self, state: MixedRadixState, unit: int, slot: int) -> None:
-        """Project the encoded qubit's |1> amplitude to |0> and renormalise.
-
-        If the qubit carries no excited amplitude the jump cannot fire
-        physically and the state is left unchanged (the shot is still
-        counted as failed under the worst-case policy).
-        """
-        state.apply_kraus(*self._embedded_damping_jump(unit, slot))
-
-    def _apply_damping_survival(self, state: MixedRadixState, unit: int, slot: int, gamma: float) -> None:
-        """Apply the no-jump Kraus operator K0 = diag(1, sqrt(1-gamma))."""
-        state.apply_kraus(*self._embedded_damping_survival(unit, slot, gamma))
+            total = total + populations[..., level]
+        return total
 
     # ------------------------------------------------------------------
     # scalar sampling (the _reference implementation, and state tracking)
@@ -296,7 +238,6 @@ class TrajectoryEngine:
         num_ops = len(self.compiled.ops)
         gate_mask = draws[:num_ops] < self.op_probs
         gate_events = int(gate_mask.sum())
-        idle_events = 0
         if not self.track_state:
             # the constructor guarantees the worst_case policy here
             idle_events = int((draws[num_ops:] < self.idle_gammas).sum())
@@ -315,8 +256,21 @@ class TrajectoryEngine:
                     code = (string >> (2 * (len(op.slots) - 1 - position))) & 3
                     if code == 0:
                         continue
-                    state.apply(*self._embedded_pauli(unit, slot, code))
-        # idle decay, applied per logical qubit at its final position
+                    state.apply(*self._embeds.pauli(unit, slot, code))
+        idle_events = self._idle_decay_shot(state, draws)
+        return _ShotOutcome(gate_events, idle_events, state.vector)
+
+    def _idle_decay_shot(self, state: MixedRadixState, draws: np.ndarray) -> int:
+        """Idle decay of one scalar shot; returns its idle event count.
+
+        Applied per logical qubit at its final position, reading the
+        shot's ``draws`` column after the ops for each qubit.  A jump on a
+        qubit with no excited amplitude cannot fire physically and leaves
+        the state unchanged (the shot still counts as failed under the
+        worst-case policy).
+        """
+        num_ops = len(self.compiled.ops)
+        idle_events = 0
         for position, qubit in enumerate(self.idle_qubits):
             gamma = float(self.idle_gammas[position])
             if gamma <= 0.0:
@@ -326,15 +280,15 @@ class TrajectoryEngine:
             if self.model.idle_policy == "worst_case":
                 if draw < gamma:
                     idle_events += 1
-                    self._apply_damping_jump(state, unit, slot)
+                    state.apply_kraus(*self._embeds.damping_jump(unit, slot))
             else:  # kraus: jump probability scales with the excited population
-                jump_probability = gamma * self._excited_population(state, unit, slot)
+                jump_probability = gamma * float(self._excited_population(state, unit, slot))
                 if draw < jump_probability:
                     idle_events += 1
-                    self._apply_damping_jump(state, unit, slot)
+                    state.apply_kraus(*self._embeds.damping_jump(unit, slot))
                 else:
-                    self._apply_damping_survival(state, unit, slot, gamma)
-        return _ShotOutcome(gate_events, idle_events, state.vector)
+                    state.apply_kraus(*self._embeds.damping_survival(unit, slot, gamma))
+        return idle_events
 
     def _run_shot_dynamic(
         self, rng: np.random.Generator, draws: np.ndarray, gate_mask: np.ndarray
@@ -354,9 +308,7 @@ class TrajectoryEngine:
         Pauli draw per fired-and-executed op — condition-false ops consume
         nothing, which is what keeps the batched path lane-exact.
         """
-        num_ops = len(self.compiled.ops)
         gate_events = int(gate_mask.sum())
-        idle_events = 0
         state = MixedRadixState(self.dims)
         ideal = MixedRadixState(self.dims)
         alive = True
@@ -366,8 +318,8 @@ class TrajectoryEngine:
             if executed and op.gate in ("measure_mid", "reset"):
                 unit, slot = op.slots[0]
                 draw = float(rng.random())
-                outcome = int(draw < self._excited_population(state, unit, slot))
-                projector, units = self._embedded_projector(unit, slot, outcome)
+                outcome = int(draw < float(self._excited_population(state, unit, slot)))
+                projector, units = self._embeds.projector(unit, slot, outcome)
                 state.apply_kraus(projector, units)
                 if alive:
                     alive = ideal.apply_kraus(projector, units) > 0.0
@@ -375,7 +327,7 @@ class TrajectoryEngine:
                     bit = int(op.cbits[0])
                     creg = (creg & ~(1 << bit)) | (outcome << bit)
                 elif outcome:  # reset: flip the sampled |1> back to |0>
-                    flip = self._embedded_pauli(unit, slot, 1)
+                    flip = self._embeds.pauli(unit, slot, 1)
                     state.apply(*flip)
                     if alive:
                         ideal.apply(*flip)
@@ -391,25 +343,8 @@ class TrajectoryEngine:
                     code = (string >> (2 * (len(op.slots) - 1 - position))) & 3
                     if code == 0:
                         continue
-                    state.apply(*self._embedded_pauli(unit, slot, code))
-        # idle decay, applied per logical qubit at its final position
-        for position, qubit in enumerate(self.idle_qubits):
-            gamma = float(self.idle_gammas[position])
-            if gamma <= 0.0:
-                continue
-            unit, slot = self.compiled.final_placement[qubit]
-            draw = float(draws[num_ops + position])
-            if self.model.idle_policy == "worst_case":
-                if draw < gamma:
-                    idle_events += 1
-                    self._apply_damping_jump(state, unit, slot)
-            else:  # kraus: jump probability scales with the excited population
-                jump_probability = gamma * self._excited_population(state, unit, slot)
-                if draw < jump_probability:
-                    idle_events += 1
-                    self._apply_damping_jump(state, unit, slot)
-                else:
-                    self._apply_damping_survival(state, unit, slot, gamma)
+                    state.apply(*self._embeds.pauli(unit, slot, code))
+        idle_events = self._idle_decay_shot(state, draws)
         if alive:
             fidelity = float(abs(np.vdot(ideal.vector, state.vector)) ** 2)
         else:
@@ -470,23 +405,15 @@ class TrajectoryEngine:
         pre-built :class:`~repro.noise.kernel.EventKernel` at once.  The
         thresholds and the draws are the same floats the scalar loop uses,
         compared with the same IEEE predicates, so the event counts are
-        bit-identical at any block or chunk split (and identical between
-        the fused kernel and the retained two-compare loop).
+        bit-identical at any block or chunk split.
         """
-        num_ops = len(self.compiled.ops)
         no_error = 0
         gate_events = 0
         idle_events = 0
         for start in range(0, shots, EVENT_BLOCK_SHOTS):
             count = min(EVENT_BLOCK_SHOTS, shots - start)
             draws = uniform_streams(seed, base_shot + start, count, self._draws)
-            if self.use_kernel:
-                per_shot_gate, per_shot_idle = self._event_kernel.count_block(draws)
-            else:
-                gate_mask = draws[:, :num_ops] < self.op_probs
-                idle_mask = draws[:, num_ops:] < self.idle_gammas
-                per_shot_gate = gate_mask.sum(axis=1)
-                per_shot_idle = idle_mask.sum(axis=1)
+            per_shot_gate, per_shot_idle = self._event_kernel.count_block(draws)
             no_error += int(((per_shot_gate == 0) & (per_shot_idle == 0)).sum())
             gate_events += int(per_shot_gate.sum())
             idle_events += int(per_shot_idle.sum())
@@ -525,54 +452,47 @@ class TrajectoryEngine:
                 code = (int(value) >> (2 * (len(slots) - 1 - position))) & 3
                 if code == 0:
                     continue
-                matrix, units = self._embedded_pauli(unit, slot, code)
+                matrix, units = self._embeds.pauli(unit, slot, code)
                 state.apply(matrix, units, lanes=group)
-
-    def _excited_populations(
-        self, state: BatchedMixedRadixState, unit: int, slot: int
-    ) -> np.ndarray:
-        """Per-lane |1> population of the encoded qubit at ``(unit, slot)``."""
-        populations = state.unit_populations(unit)
-        levels = self._excited_levels(unit, slot)
-        total = populations[:, levels[0]]
-        for level in levels[1:]:
-            total = total + populations[:, level]
-        return total
 
     def _evolve_block(
         self, seed: int, base_shot: int, count: int
-    ) -> tuple[GeneratorLanes, BatchedMixedRadixState, np.ndarray, np.ndarray]:
-        """Replay one block of tracked shots with the sampled noise injected.
+    ) -> tuple[GeneratorLanes, BatchedMixedRadixState, np.ndarray, np.ndarray, np.ndarray]:
+        """Replay one block of tracked shots, lane-exact vs the scalar loop.
 
-        Returns the live RNG lanes (positioned exactly where the scalar
-        loop's generators would be after ``_run_shot``), the evolved batch
-        and the per-lane gate/idle event counts.
-
-        With ``use_kernel`` (the default) the block executes the compiled
-        fused program — one lazily-permuted pass per run instead of a
-        gather/GEMM/scatter per op — which is bit-identical to the
-        retained op-at-a-time loop below (see :mod:`repro.noise.kernel`).
+        Walks the engine's kernel schedule: each :class:`FusedRun` runs
+        through :meth:`KernelSchedule.execute_run`, each bare op index is
+        one canonical-layout :meth:`_apply_op` step.  Dynamic programs
+        mirror :meth:`_run_shot_dynamic` per lane: each lane carries its
+        own classical register and branch decisions, a parallel noise-free
+        batch follows the same branches, and mid-stream RNG draws touch
+        only the lanes that execute the drawing op — so every lane's
+        stream position matches its scalar ``default_rng((seed, shot))``
+        twin.  Returns the live RNG lanes, the noisy batch, the per-lane
+        gate/idle event counts and the per-lane ideal-vs-noisy fidelities.
         """
         num_ops = len(self.compiled.ops)
         lanes = GeneratorLanes(seed, base_shot, count)
         draws = lanes.random_block(self._draws)
         gate_mask = draws[:, :num_ops] < self.op_probs
         state = BatchedMixedRadixState(self.dims, count)
-        if self._schedule is not None:
-            amps = state.amplitudes
-            for segment in self._schedule.segments:
-                amps = self._schedule.execute_run(segment, amps, gate_mask, lanes)
-            state.replace_amplitudes(amps)
-        else:
-            for index, op in enumerate(self.compiled.ops):
-                embedded = self._op_unitaries[index]
-                if embedded is not None:
-                    state.apply(*embedded)
-                if op.slots:
-                    fired = np.flatnonzero(gate_mask[:, index])
-                    if fired.size:
-                        strings = lanes.integers(fired, 1, 4 ** len(op.slots))
-                        self._apply_pauli_strings(state, op.slots, fired, strings)
+        ideal = BatchedMixedRadixState(self.dims, count) if self.is_dynamic else None
+        alive = np.ones(count, dtype=bool)
+        creg = np.zeros(count, dtype=np.int64)
+        schedule = self._schedule
+        for segment in schedule.segments:
+            if isinstance(segment, int):
+                self._apply_op(segment, state, ideal, alive, creg, lanes, gate_mask)
+                continue
+            state.replace_amplitudes(
+                schedule.execute_run(segment, state.amplitudes, gate_mask, lanes)
+            )
+            if ideal is not None:
+                # ``alive`` only changes at bare ops, so the ideal batch's
+                # live-lane subset is constant across a whole run
+                schedule.execute_run_unitaries(
+                    segment, ideal.amplitudes, np.flatnonzero(alive)
+                )
         # idle decay, applied per logical qubit at its final position
         idle_counts = np.zeros(count, dtype=np.int64)
         for position, qubit in enumerate(self.idle_qubits):
@@ -585,36 +505,43 @@ class TrajectoryEngine:
                 jumped = np.flatnonzero(column < gamma)
                 survived = None
             else:  # kraus: jump probability scales with the excited population
-                jump_probability = gamma * self._excited_populations(state, unit, slot)
+                jump_probability = gamma * self._excited_population(state, unit, slot)
                 fired = column < jump_probability
                 jumped = np.flatnonzero(fired)
                 survived = np.flatnonzero(~fired)
             idle_counts[jumped] += 1
             if jumped.size:
-                matrix, units = self._embedded_damping_jump(unit, slot)
+                matrix, units = self._embeds.damping_jump(unit, slot)
                 state.apply_kraus(matrix, units, lanes=jumped)
             if survived is not None and survived.size:
-                matrix, units = self._embedded_damping_survival(unit, slot, gamma)
+                matrix, units = self._embeds.damping_survival(unit, slot, gamma)
                 state.apply_kraus(matrix, units, lanes=survived)
-        return lanes, state, gate_mask.sum(axis=1), idle_counts
+        if ideal is None:
+            fidelities = state.fidelities_with(self._ideal_vector)
+        else:
+            fidelities = state.fidelities_with_batch(ideal)
+            fidelities[~alive] = 0.0
+        return lanes, state, gate_mask.sum(axis=1), idle_counts, fidelities
 
-    def _apply_dynamic_op(
+    def _apply_op(
         self,
         index: int,
         state: BatchedMixedRadixState,
-        ideal: BatchedMixedRadixState,
+        ideal: BatchedMixedRadixState | None,
         alive: np.ndarray,
         creg: np.ndarray,
         lanes: GeneratorLanes,
         gate_mask: np.ndarray,
     ) -> None:
-        """Apply one op of a dynamic program to the batch, per-lane exact.
+        """Apply op ``index`` to the batch in canonical layout, per-lane exact.
 
-        Mutates ``state``/``ideal``/``alive``/``creg`` in place.  This is
-        the canonical-layout op-at-a-time step shared by the legacy loop
-        and the kernel path (which calls it only for the dynamic ops
-        between fused runs — mid-circuit measurement/``reset`` and
-        conditioned ops need per-lane branch masks).
+        The walker's step for a bare schedule segment: the dynamic ops
+        between fused runs (mid-circuit measurement/``reset`` and
+        conditioned ops need per-lane branch masks), or any op of the
+        all-bare schedule ``use_kernel=False`` selects.  ``ideal`` is a
+        dynamic program's parallel noise-free batch and ``None`` for a
+        static one.  Mutates ``state``/``ideal``/``alive``/``creg`` in
+        place.
         """
         op = self.compiled.ops[index]
         count = creg.shape[0]
@@ -631,13 +558,13 @@ class TrajectoryEngine:
             if exec_idx.size:
                 unit, slot = op.slots[0]
                 draw = lanes.random(exec_idx)
-                excited = self._excited_populations(state, unit, slot)[exec_idx]
+                excited = self._excited_population(state, unit, slot)[exec_idx]
                 outcomes = draw < excited
                 for outcome in (0, 1):
                     selected = exec_idx[outcomes == bool(outcome)]
                     if not selected.size:
                         continue
-                    projector, units = self._embedded_projector(unit, slot, outcome)
+                    projector, units = self._embeds.projector(unit, slot, outcome)
                     state.apply_kraus(projector, units, lanes=selected)
                     live = selected[alive[selected]]
                     if live.size:
@@ -651,7 +578,7 @@ class TrajectoryEngine:
                 else:  # reset: flip the sampled |1> lanes back to |0>
                     flipped = exec_idx[outcomes]
                     if flipped.size:
-                        flip, flip_units = self._embedded_pauli(unit, slot, 1)
+                        flip, flip_units = self._embeds.pauli(unit, slot, 1)
                         state.apply(flip, flip_units, lanes=flipped)
                         live = flipped[alive[flipped]]
                         if live.size:
@@ -664,85 +591,15 @@ class TrajectoryEngine:
                     state.apply(matrix, units)
                 else:
                     state.apply(matrix, units, lanes=exec_idx)
-                live = exec_idx[alive[exec_idx]]
-                if live.size:
-                    ideal.apply(matrix, units, lanes=live)
+                if ideal is not None:
+                    live = exec_idx[alive[exec_idx]]
+                    if live.size:
+                        ideal.apply(matrix, units, lanes=live)
         if op.slots:
             fired = np.flatnonzero(gate_mask[:, index] & executed)
             if fired.size:
                 strings = lanes.integers(fired, 1, 4 ** len(op.slots))
                 self._apply_pauli_strings(state, op.slots, fired, strings)
-
-    def _evolve_block_dynamic(
-        self, seed: int, base_shot: int, count: int
-    ) -> tuple[GeneratorLanes, BatchedMixedRadixState, np.ndarray, np.ndarray, np.ndarray]:
-        """Replay one block of tracked *dynamic* shots, lane-exact vs scalar.
-
-        Mirrors :meth:`_run_shot_dynamic` per lane: each lane carries its
-        own classical register and branch decisions, a parallel noise-free
-        batch follows the same branches, and mid-stream RNG draws touch
-        only the lanes that execute the drawing op — so every lane's stream
-        position matches its scalar ``default_rng((seed, shot))`` twin.
-        Returns the lanes, the noisy batch, per-lane gate/idle event counts
-        and the per-lane ideal-vs-noisy fidelities.
-        """
-        num_ops = len(self.compiled.ops)
-        lanes = GeneratorLanes(seed, base_shot, count)
-        draws = lanes.random_block(self._draws)
-        gate_mask = draws[:, :num_ops] < self.op_probs
-        state = BatchedMixedRadixState(self.dims, count)
-        ideal = BatchedMixedRadixState(self.dims, count)
-        alive = np.ones(count, dtype=bool)
-        creg = np.zeros(count, dtype=np.int64)
-        if self._schedule is not None:
-            # fused runs evolve both batches without per-op dispatch; the
-            # dynamic ops between them run in canonical layout, per lane.
-            # ``alive`` only changes at dynamic ops, so the ideal batch's
-            # live-lane subset is constant across a whole run: one
-            # gather/scatter per run instead of one per op.
-            for segment in self._schedule.segments:
-                if isinstance(segment, int):
-                    self._apply_dynamic_op(
-                        segment, state, ideal, alive, creg, lanes, gate_mask
-                    )
-                else:
-                    state.replace_amplitudes(
-                        self._schedule.execute_run(
-                            segment, state.amplitudes, gate_mask, lanes
-                        )
-                    )
-                    self._schedule.execute_run_unitaries(
-                        segment, ideal.amplitudes, np.flatnonzero(alive)
-                    )
-        else:
-            for index in range(num_ops):
-                self._apply_dynamic_op(index, state, ideal, alive, creg, lanes, gate_mask)
-        # idle decay, applied per logical qubit at its final position
-        idle_counts = np.zeros(count, dtype=np.int64)
-        for position, qubit in enumerate(self.idle_qubits):
-            gamma = float(self.idle_gammas[position])
-            if gamma <= 0.0:
-                continue
-            unit, slot = self.compiled.final_placement[qubit]
-            column = draws[:, num_ops + position]
-            if self.model.idle_policy == "worst_case":
-                jumped = np.flatnonzero(column < gamma)
-                survived = None
-            else:  # kraus: jump probability scales with the excited population
-                jump_probability = gamma * self._excited_populations(state, unit, slot)
-                fired = column < jump_probability
-                jumped = np.flatnonzero(fired)
-                survived = np.flatnonzero(~fired)
-            idle_counts[jumped] += 1
-            if jumped.size:
-                matrix, units = self._embedded_damping_jump(unit, slot)
-                state.apply_kraus(matrix, units, lanes=jumped)
-            if survived is not None and survived.size:
-                matrix, units = self._embedded_damping_survival(unit, slot, gamma)
-                state.apply_kraus(matrix, units, lanes=survived)
-        fidelities = state.fidelities_with_batch(ideal)
-        fidelities[~alive] = 0.0
-        return lanes, state, gate_mask.sum(axis=1), idle_counts, fidelities
 
     def _run_tracked_batch(self, shots: int, seed: int, base_shot: int) -> TrajectoryChunk:
         """Vectorised state-tracking sampling over blocks of shots.
@@ -762,15 +619,9 @@ class TrajectoryEngine:
         block = self._tracked_block_shots()
         for start in range(0, shots, block):
             count = min(block, shots - start)
-            if self.is_dynamic:
-                lanes, state, gate_counts, idle_counts, fidelities = (
-                    self._evolve_block_dynamic(seed, base_shot + start, count)
-                )
-            else:
-                lanes, state, gate_counts, idle_counts = self._evolve_block(
-                    seed, base_shot + start, count
-                )
-                fidelities = state.fidelities_with(self._ideal_vector)
+            lanes, state, gate_counts, idle_counts, fidelities = self._evolve_block(
+                seed, base_shot + start, count
+            )
             final_draws = lanes.random_block(1)[:, 0]
             gate_events += int(gate_counts.sum())
             idle_events += int(idle_counts.sum())
@@ -810,7 +661,9 @@ class TrajectoryEngine:
             return self._run_tracked_batch(shots, seed, base_shot)
         return self._run_event_batch(shots, seed, base_shot)
 
-    def iter_final_vectors(self, shots: int, seed: int, base_shot: int = 0):
+    def iter_final_vectors(
+        self, shots: int, seed: int, base_shot: int = 0
+    ) -> Iterator[np.ndarray]:
         """Yield each trajectory's final state vector, in shot order.
 
         Streaming variant of :meth:`final_vectors` for sweep-scale shot
@@ -818,19 +671,22 @@ class TrajectoryEngine:
         ``TRACKED_BLOCK_AMPLITUDES`` amplitudes) is live at a time, so
         memory stays bounded however many shots are requested.  Replays
         the same deterministic per-shot streams :meth:`run` would use, on
-        the batched state (state-tracking mode only).
+        the batched state (state-tracking mode only).  Arguments are
+        checked here, at the call, before the first vector is requested.
         """
         if not self.track_state:
             raise VerificationError("final_vectors requires track_state=True")
         if shots < 0:
             raise ValueError("shots must be non-negative")
+        return self._stream_final_vectors(shots, seed, base_shot)
+
+    def _stream_final_vectors(
+        self, shots: int, seed: int, base_shot: int
+    ) -> Iterator[np.ndarray]:
         block = self._tracked_block_shots()
         for start in range(0, shots, block):
             count = min(block, shots - start)
-            if self.is_dynamic:
-                _, state, _, _, _ = self._evolve_block_dynamic(seed, base_shot + start, count)
-            else:
-                _, state, _, _ = self._evolve_block(seed, base_shot + start, count)
+            _, state, _, _, _ = self._evolve_block(seed, base_shot + start, count)
             yield from state.vectors()
 
     def final_vectors(self, shots: int, seed: int, base_shot: int = 0) -> list[np.ndarray]:

@@ -4,8 +4,7 @@ The contract under test (see :mod:`repro.noise.kernel`): the fused
 kernel path — the default in both batched trajectory engines — is
 bit-identical to the retained scalar ``run_reference`` across workloads,
 strategies, presets, seeds and chunk/block splits, static and dynamic
-circuits alike; the opt-in ``fold_matrices`` mode is numerically
-equivalent but excluded from that bit-equality contract.
+circuits alike.
 """
 
 import numpy as np
@@ -19,12 +18,9 @@ from repro.noise.kernel import (
     EventKernel,
     FusedRun,
     KernelSchedule,
-    NoiseSite,
-    UnitaryStep,
     build_event_kernel,
     build_plan,
     compile_schedule,
-    fold_matrix_runs,
 )
 from repro.noise.trajectory import FINAL_VECTORS_MAX_SHOTS
 from repro.runner import SweepPoint
@@ -115,14 +111,18 @@ class TestFusedGoldenEquivalence:
     def test_kraus_idle_policy_fused(self):
         compiled = _pooled_compiled(1)
         spec = TABLE1.with_idle_policy("kraus")
-        engine = TrajectoryEngine(compiled, spec, track_state=True)
-        assert engine.run(40, seed=9) == engine.run_reference(40, seed=9)
+        for use_kernel in (True, False):
+            engine = TrajectoryEngine(compiled, spec, track_state=True,
+                                      use_kernel=use_kernel)
+            assert engine.run(40, seed=9) == engine.run_reference(40, seed=9)
 
     def test_dynamic_kraus_idle_policy_fused(self):
         compiled = _pooled_compiled(3)
         spec = TABLE1.with_idle_policy("kraus")
-        engine = TrajectoryEngine(compiled, spec, track_state=True)
-        assert engine.run(40, seed=9) == engine.run_reference(40, seed=9)
+        for use_kernel in (True, False):
+            engine = TrajectoryEngine(compiled, spec, track_state=True,
+                                      use_kernel=use_kernel)
+            assert engine.run(40, seed=9) == engine.run_reference(40, seed=9)
 
     def test_block_split_is_invisible(self, monkeypatch):
         engine = _pooled_engine(0, "table1")
@@ -137,10 +137,8 @@ class TestFusedGoldenEquivalence:
     def test_event_path_fused_matches_reference(self):
         compiled = SweepPoint("bv", 6, "eqm").execute().compiled
         fused = TrajectoryEngine(compiled, TABLE1)
-        legacy = TrajectoryEngine(compiled, TABLE1, use_kernel=False)
         reference = fused.run_reference(300, seed=2)
         assert fused.run(300, seed=2) == reference
-        assert legacy.run(300, seed=2) == reference
 
 
 class TestKernelCompilation:
@@ -156,6 +154,18 @@ class TestKernelCompilation:
         assert one._op_unitaries is two._op_unitaries
         again = compile_schedule(compiled, one.dims, one._op_unitaries)
         assert again is one._schedule
+
+    def test_all_bare_schedule_stays_off_the_artifact(self):
+        compiled = SweepPoint(
+            "bv", 4, "eqm", compiler_kwargs=(("merge_single_qubit_gates", False),)
+        ).execute().compiled
+        bare = TrajectoryEngine(compiled, TABLE1, track_state=True, use_kernel=False)
+        assert bare._schedule.segments == tuple(range(len(compiled.ops)))
+        memo = getattr(compiled, "_schedule_memo", {})
+        assert not any(key[0] == "trajectory-kernel" for key in memo)
+        fused = TrajectoryEngine(compiled, TABLE1, track_state=True)
+        assert fused._schedule is not bare._schedule
+        assert bare.run(20, seed=1) == fused.run(20, seed=1)
 
     def test_static_circuit_compiles_to_one_fused_run(self):
         engine = _pooled_engine(0, "table1")
@@ -196,46 +206,6 @@ class TestKernelCompilation:
         assert idle.tolist() == [1, 0]
 
 
-class TestMatrixFolding:
-    """`fold_matrices` is numerically equivalent, and only that."""
-
-    def test_folding_merges_adjacent_same_unit_steps(self):
-        engine = _pooled_engine(0, "table1")
-        folded = fold_matrix_runs(engine._schedule, np.zeros(len(engine.compiled.ops)))
-        def count(schedule, kind):
-            return sum(
-                isinstance(item, kind)
-                for segment in schedule.segments
-                if isinstance(segment, FusedRun)
-                for item in segment.items
-            )
-        assert count(folded, NoiseSite) == 0  # zero-prob sites all dropped
-        assert count(folded, UnitaryStep) < count(engine._schedule, UnitaryStep)
-
-    def test_folded_engine_agrees_numerically(self):
-        compiled = _pooled_compiled(1)
-        plain = _pooled_engine(1, "table1")
-        folded = TrajectoryEngine(compiled, TABLE1, track_state=True,
-                                  fold_matrices=True)
-        a = plain.run(200, seed=5)
-        b = folded.run(200, seed=5)
-        # events depend only on the draws, never on the state: exact
-        assert (a.no_error_shots, a.gate_events, a.idle_events) == (
-            b.no_error_shots, b.gate_events, b.idle_events
-        )
-        assert a.outcome_fidelity_sum == pytest.approx(
-            b.outcome_fidelity_sum, rel=1e-9
-        )
-
-    def test_ideal_preset_folds_to_exact_fidelity_one(self):
-        folded = TrajectoryEngine(_pooled_compiled(1),
-                                  NoiseSpec.from_preset("ideal"),
-                                  track_state=True, fold_matrices=True)
-        chunk = folded.run(30, seed=0)
-        assert chunk.no_error_shots == 30
-        assert chunk.outcome_fidelity_sum == pytest.approx(30.0)
-
-
 class TestFinalVectorStreaming:
     """iter_final_vectors streams; final_vectors stays list-shaped but capped."""
 
@@ -265,8 +235,11 @@ class TestFinalVectorStreaming:
     def test_requires_track_state(self):
         compiled = SweepPoint("bv", 4, "eqm").execute().compiled
         engine = TrajectoryEngine(compiled, TABLE1)
+        # both checks fire at the call, before any vector is requested
         with pytest.raises(VerificationError):
-            list(engine.iter_final_vectors(3, seed=0))
+            engine.iter_final_vectors(3, seed=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            _pooled_engine(1, "table1").iter_final_vectors(-1, seed=0)
 
     def test_dynamic_vectors_stream_too(self):
         engine = _pooled_engine(3, "table1")

@@ -555,12 +555,18 @@ class TestTrackedGoldenEquivalence:
     def test_final_vectors_match_scalar_replay(self, replayable_ghz3):
         import numpy as np
 
-        engine = TrajectoryEngine(replayable_ghz3, TABLE1, track_state=True)
-        batched = engine.final_vectors(25, seed=9)
-        for offset, vector in enumerate(batched):
-            rng = np.random.default_rng((9, offset))
-            scalar = engine._run_shot(rng).vector
-            assert (vector == scalar).all()
+        teleport = SweepPoint(
+            "teleport", 3, "eqm", compiler_kwargs=(("merge_single_qubit_gates", False),)
+        ).execute().compiled
+        assert teleport.is_dynamic
+        # one static and one dynamic (mid-circuit measurement) program
+        for compiled in (replayable_ghz3, teleport):
+            engine = TrajectoryEngine(compiled, TABLE1, track_state=True)
+            batched = engine.final_vectors(25, seed=9)
+            for offset, vector in enumerate(batched):
+                rng = np.random.default_rng((9, offset))
+                scalar = engine._run_shot(rng).vector
+                assert (vector == scalar).all()
 
 
 class TestTrackedChunkGeometry:

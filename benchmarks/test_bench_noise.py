@@ -24,7 +24,7 @@ import time
 
 from repro.store import ArtifactStore
 from repro.noise import NoiseSpec, TrajectoryEngine, shot_plan
-from repro.runner import CompileCache, ParallelExecutor, SweepPoint
+from repro.runner import ParallelExecutor, SweepPoint
 
 POINT = SweepPoint("bv", 8, "eqm")
 #: State-tracking benchmark workload: a default validation cell, compiled
@@ -193,11 +193,11 @@ def test_kernel_speedup_floor():
 
 
 def test_bench_shot_plan_cached(benchmark, tmp_path):
-    cache = CompileCache.from_store(ArtifactStore(tmp_path))
+    store = ArtifactStore(tmp_path)
     plan = shot_plan(POINT, TABLE1, shots=SHOTS, seed=0, chunk_size=2500)
-    ParallelExecutor(workers=1, cache=cache).run(plan)  # populate
+    ParallelExecutor(workers=1, store=store).run(plan)  # populate
 
-    executor = ParallelExecutor(workers=1, cache=cache)
+    executor = ParallelExecutor(workers=1, store=store)
     chunks = benchmark.pedantic(lambda: executor.run(plan), rounds=1, iterations=1)
     assert executor.last_stats.executed == 0, "cached run must not resimulate"
     assert sum(chunk.shots for chunk in chunks) == SHOTS

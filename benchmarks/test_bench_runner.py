@@ -1,13 +1,13 @@
 """Benchmarks for the repro.runner engine: cold compiles vs cache hits.
 
 Times one representative sweep executed through the engine's serial path,
-then the same plan served entirely from the on-disk compile cache.  The
+then the same plan served entirely from the on-disk artifact store.  The
 cached pass must also perform zero recompiles — the benchmark asserts it.
 """
 
 
 from repro.store import ArtifactStore
-from repro.runner import CompileCache, ParallelExecutor, SweepPlan
+from repro.runner import ParallelExecutor, SweepPlan
 
 PLAN = SweepPlan.cartesian(
     ("cuccaro", "bv"), (8, 12), ("qubit_only", "eqm", "rb")
@@ -30,11 +30,11 @@ def test_bench_engine_cold(benchmark):
 
 
 def test_bench_engine_cached(benchmark, tmp_path):
-    cache = CompileCache.from_store(ArtifactStore(tmp_path))
-    warm = ParallelExecutor(workers=1, cache=cache)
+    store = ArtifactStore(tmp_path)
+    warm = ParallelExecutor(workers=1, store=store)
     warm.run(PLAN)  # populate every point
 
-    executor = ParallelExecutor(workers=1, cache=cache)
+    executor = ParallelExecutor(workers=1, store=store)
     results = benchmark.pedantic(lambda: executor.run(PLAN), rounds=1, iterations=1)
     assert executor.last_stats.executed == 0, "cached run must not recompile"
     assert executor.last_stats.cache_hits == len(PLAN)
@@ -42,4 +42,5 @@ def test_bench_engine_cached(benchmark, tmp_path):
 
     _header("runner cache reuse")
     print(f"plan: {PLAN.describe()}")
-    print(f"cache entries: {len(cache)} ({cache.size_bytes() / 1024.0:.1f} KiB)")
+    stats = store.stats()
+    print(f"store entries: {stats.refs} ({stats.blob_bytes / 1024.0:.1f} KiB of blobs)")

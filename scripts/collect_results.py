@@ -18,7 +18,6 @@ from pathlib import Path
 
 from repro.store import ArtifactStore
 from repro.cli import _worker_count
-from repro.runner import CompileCache
 from repro.evaluation import (
     figure3_state_evolution,
     figure4_exhaustive,
@@ -48,15 +47,15 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--workers", type=_worker_count, default=1,
                         help="worker processes for the sweeps (1 = serial)")
     parser.add_argument("--cache-dir", default=None,
-                        help="enable the compile cache rooted at this directory")
+                        help="serve and publish results through the artifact "
+                             "store rooted at this directory")
     return parser.parse_args(argv)
 
 
 def main(argv=None) -> None:
     args = parse_args(argv)
-    cache = (CompileCache.from_store(ArtifactStore(Path(args.cache_dir)))
-             if args.cache_dir else None)
-    engine = {"workers": args.workers, "cache": cache}
+    store = ArtifactStore(Path(args.cache_dir)) if args.cache_dir else None
+    engine = {"workers": args.workers, "store": store}
     started = time.perf_counter()
     RESULTS_DIR.mkdir(exist_ok=True)
     out_path = RESULTS_DIR / "summary.txt"
@@ -130,8 +129,8 @@ def main(argv=None) -> None:
     elapsed = time.perf_counter() - started
     print(f"wrote {out_path} in {elapsed:.1f}s "
           f"(workers={args.workers}"
-          + (f", cache hits={cache.stats.hits} misses={cache.stats.misses}"
-             if cache else "")
+          + (f", cache hits={store.hits} misses={store.misses}"
+             if store is not None else "")
           + ")")
 
 

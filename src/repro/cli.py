@@ -15,11 +15,12 @@ writing Python::
     python -m repro crosscheck --shots 2000 --json results/crosscheck.json
     python -m repro table1
     python -m repro figure --name fig12 --output results/fig12.csv
-    python -m repro cache --info
     python -m repro submit --benchmarks bv ghz --sizes 4 6 --spool .spool --wait
     python -m repro serve --spool .spool --store .repro_cache --workers 4
+    python -m repro store stats --dir .repro_cache
     python -m repro store verify --json
     python -m repro store gc
+    python -m repro store clear --dir .repro_cache
 
 Every subcommand prints a plain-text table; ``--output`` additionally writes
 a CSV file and ``--json`` a JSON file.  ``--workers N`` fans the sweep out
@@ -40,7 +41,6 @@ from repro.circuits.qasm import QasmError
 from repro.compression import _STRATEGIES
 from repro.noise import NOISE_PRESETS, NoiseSpec, prime_compiled, simulate_point
 from repro.runner import (
-    CompileCache,
     DeviceSpec,
     SweepPlan,
     SweepPoint,
@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="write the routed physical program as OpenQASM 2.0 "
                                      "(Table 1 gates declared opaque)")
     compile_parser.add_argument("--cache-dir", default=None,
-                                help="serve/populate the compile cache rooted here "
+                                help="serve/populate the artifact store rooted here "
                                      "(QASM files are content-keyed by text digest)")
     compile_parser.add_argument("--verify", action="store_true",
                                 help="statically verify the compiled program "
@@ -251,12 +251,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runner_arguments(figure_parser)
 
     store_parser = subparsers.add_parser(
-        "store", help="inspect, audit or garbage-collect the artifact store"
+        "store", help="inspect, audit, garbage-collect or clear the artifact store"
     )
-    store_parser.add_argument("action", choices=("stats", "verify", "gc"),
+    store_parser.add_argument("action", choices=("stats", "verify", "gc", "clear"),
                               help="stats: inventory counts; verify: re-hash every "
                                    "blob and schema-check every ref/manifest; gc: "
-                                   "drop unreferenced blobs and stale temp files")
+                                   "drop unreferenced blobs and stale temp files; "
+                                   "clear: delete every blob, ref and manifest")
     store_parser.add_argument("--dir", dest="store_dir", default=None,
                               help=f"store root (default: {default_cache_dir()})")
     store_parser.add_argument("--json", dest="json_output", action="store_true",
@@ -308,17 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--poll-interval", type=float, default=1.0,
                               help="seconds between spool scans when looping")
 
-    cache_parser = subparsers.add_parser(
-        "cache", help="inspect or clear the on-disk compile cache"
-    )
-    cache_parser.add_argument("--dir", dest="cache_dir", default=None,
-                              help=f"cache directory (default: {default_cache_dir()})")
-    cache_parser.add_argument("--clear", action="store_true",
-                              help="delete every cached compile result")
-    cache_parser.add_argument("--info", action="store_true",
-                              help="print entry count and size (the default action; "
-                                   "with --clear, prints the post-clear state)")
-
     return parser
 
 
@@ -334,7 +324,8 @@ def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=_worker_count, default=1,
                         help="worker processes (1 = serial reference path)")
     parser.add_argument("--cache-dir", default=None,
-                        help="enable the compile cache rooted at this directory")
+                        help="serve and publish results through the artifact "
+                             "store rooted at this directory")
 
 
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
@@ -346,18 +337,22 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
                              "round-trip + independent estimator)")
 
 
-def _cache_from_args(args: argparse.Namespace) -> CompileCache | None:
+def _runner_store_from_args(args: argparse.Namespace) -> ArtifactStore | None:
     cache_dir = getattr(args, "cache_dir", None)
     if getattr(args, "backend", None) == "replay":
-        # replay answers points from a store: always attach the cache so
-        # the executor pins every dispatched point to this root (the
-        # requested --cache-dir, or the default directory) — lookup and
-        # cache agree on one root with no process-wide env mutation
-        root = Path(cache_dir) if cache_dir else default_cache_dir()
-        return CompileCache.from_store(ArtifactStore(root))
+        # replay answers points from a store: always attach one so the
+        # executor pins every dispatched point to this root (the requested
+        # --cache-dir, or the default directory) — lookup and executor
+        # agree on one root with no process-wide env mutation
+        return ArtifactStore(Path(cache_dir) if cache_dir else default_cache_dir())
     if cache_dir is None:
         return None
-    return CompileCache.from_store(ArtifactStore(Path(cache_dir)))
+    return ArtifactStore(Path(cache_dir))
+
+
+def _print_store_counts(store: ArtifactStore | None) -> None:
+    if store is not None:
+        print(f"\ncache: {store.hits} hits, {store.misses} misses ({store.root})")
 
 
 # ----------------------------------------------------------------------
@@ -394,8 +389,8 @@ def _run_compile(args: argparse.Namespace) -> int:
     point = _compile_point_from_args(args)
     if isinstance(point, int):
         return point
-    cache = _cache_from_args(args)
-    result = execute_plan(SweepPlan((point,)), cache=cache)[0]
+    store = _runner_store_from_args(args)
+    result = execute_plan(SweepPlan((point,)), store=store)[0]
     report = result.report
     rows = [
         ["circuit", result.compiled.circuit_name],
@@ -420,9 +415,7 @@ def _run_compile(args: argparse.Namespace) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(result.compiled.to_qasm())
         print(f"\nwrote {path}")
-    if cache is not None:
-        print(f"\ncache: {cache.stats.hits} hits, {cache.stats.misses} misses "
-              f"({cache.root})")
+    _print_store_counts(store)
     if args.verify:
         from repro.analysis import verify_compiled
 
@@ -523,16 +516,16 @@ def _run_simulate(args: argparse.Namespace) -> int:
     point = _compile_point_from_args(args, compiler_kwargs=compiler_kwargs)
     if isinstance(point, int):
         return point
-    cache = _cache_from_args(args)
+    store = _runner_store_from_args(args)
     noise = NoiseSpec.from_preset(args.noise)
-    compiled_result = execute_plan(SweepPlan((point,)), cache=cache)[0]
+    compiled_result = execute_plan(SweepPlan((point,)), store=store)[0]
     prime_compiled(point, compiled_result.compiled)
     model = noise.build(compiled_result.compiled.device)
     analytic = model.analytic_total_eps(compiled_result.compiled)
     try:
         noisy = simulate_point(
             point, noise, args.shots, seed=args.seed,
-            track_state=args.track_state, workers=args.workers, cache=cache,
+            track_state=args.track_state, workers=args.workers, store=store,
         )
     except VerificationError as error:
         print(f"error: cannot track the state of this circuit: {error}",
@@ -555,9 +548,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
         rows.append(["outcome success", noisy.outcome_probability])
         rows.append(["mean outcome fidelity", noisy.mean_outcome_fidelity])
     print(format_table(["metric", "value"], rows))
-    if cache is not None:
-        print(f"\ncache: {cache.stats.hits} hits, {cache.stats.misses} misses "
-              f"({cache.root})")
+    _print_store_counts(store)
     return 0
 
 
@@ -576,7 +567,7 @@ def _run_validate_eps(args: argparse.Namespace) -> int:
     if args.shots is not None and args.shots <= 0:
         print("error: --shots must be positive", file=sys.stderr)
         return 2
-    cache = _cache_from_args(args)
+    store = _runner_store_from_args(args)
     explicit = [flag for flag, value in (
         ("--benchmarks", args.benchmarks), ("--sizes", args.sizes),
         ("--strategies", args.strategies), ("--shots", args.shots),
@@ -598,7 +589,7 @@ def _run_validate_eps(args: argparse.Namespace) -> int:
     rows = validate_eps(
         benchmarks=benchmarks, sizes=sizes, strategies=strategies,
         noise=args.noise, shots=shots, seed=args.seed,
-        rel_tolerance=args.tolerance, workers=args.workers, cache=cache,
+        rel_tolerance=args.tolerance, workers=args.workers, store=store,
         track_state=args.track_state, backend=args.backend,
     )
     print(format_table(validation_headers(args.track_state), validation_rows(rows)))
@@ -631,7 +622,7 @@ def _run_validate_eps(args: argparse.Namespace) -> int:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    cache = _cache_from_args(args)
+    store = _runner_store_from_args(args)
     results = strategy_sweep(
         benchmarks=tuple(args.benchmarks),
         sizes=tuple(args.sizes),
@@ -639,19 +630,17 @@ def _run_sweep(args: argparse.Namespace) -> int:
         device_kind=args.device,
         seed=args.seed,
         workers=args.workers,
-        cache=cache,
+        store=store,
         backend=args.backend,
     )
     rows = results_to_rows(results)
     print(format_table(SWEEP_HEADERS, rows))
-    if cache is not None:
-        print(f"\ncache: {cache.stats.hits} hits, {cache.stats.misses} misses "
-              f"({cache.root})")
+    _print_store_counts(store)
     if args.output:
         path = save_csv(args.output, SWEEP_HEADERS, rows)
         print(f"\nwrote {path}")
     if args.json_output:
-        path = save_json(args.json_output, SWEEP_HEADERS, rows, cache=cache,
+        path = save_json(args.json_output, SWEEP_HEADERS, rows, store=store,
                          backend=args.backend)
         print(f"\nwrote {path}")
     return 0
@@ -661,10 +650,10 @@ def save_json(
     path: str | Path,
     headers: list[str],
     rows: list[list],
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
     backend: str = "trajectory",
 ) -> Path:
-    """Write sweep rows plus cache hit/miss counters as JSON (CI artifact format).
+    """Write sweep rows plus the store's hit/miss counters as JSON (CI artifact format).
 
     Schema 2: ``{"schema": 2, "backend": ..., "rows": [...], "cache":
     {"enabled", "hits", "misses"}}`` — CI asserts on the cache fields
@@ -678,9 +667,9 @@ def save_json(
         "backend": backend,
         "rows": [dict(zip(headers, row)) for row in rows],
         "cache": {
-            "enabled": cache is not None,
-            "hits": cache.stats.hits if cache is not None else 0,
-            "misses": cache.stats.misses if cache is not None else 0,
+            "enabled": store is not None,
+            "hits": store.hits if store is not None else 0,
+            "misses": store.misses if store is not None else 0,
         },
     }
     path.write_text(json.dumps(payload, indent=2, default=str) + "\n")
@@ -722,12 +711,12 @@ def _run_crosscheck(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         print(f"lint: {cell_count} cells statically verified\n")
-    cache = _cache_from_args(args)
+    store = _runner_store_from_args(args)
     rows = cross_backend_check(
         benchmarks=tuple(args.benchmarks), sizes=tuple(args.sizes),
         strategies=tuple(args.strategies), backends=tuple(args.backends),
         noise=args.noise, shots=args.shots, seed=args.seed,
-        rel_tolerance=args.tolerance, workers=args.workers, cache=cache,
+        rel_tolerance=args.tolerance, workers=args.workers, store=store,
     )
     print(format_table(CROSSCHECK_HEADERS, crosscheck_rows(rows)))
     if args.json_output:
@@ -758,14 +747,29 @@ def _run_crosscheck(args: argparse.Namespace) -> int:
     return 0
 
 
-def _store_from_args(args: argparse.Namespace):
-    from repro.store import ArtifactStore
+def _store_root(args: argparse.Namespace) -> Path:
+    return Path(args.store_dir) if args.store_dir else default_cache_dir()
 
-    return ArtifactStore(Path(args.store_dir) if args.store_dir else default_cache_dir())
+
+def _store_from_args(args: argparse.Namespace) -> ArtifactStore:
+    return ArtifactStore(_store_root(args))
 
 
 def _run_store(args: argparse.Namespace) -> int:
-    store = _store_from_args(args)
+    root = _store_root(args)
+    if not root.is_dir():
+        # inspecting a mistyped root must not create an empty store that
+        # then reports clean
+        print(f"error: no artifact store at {root}", file=sys.stderr)
+        return 2
+    store = ArtifactStore(root)
+    if args.action == "clear":
+        removed = store.clear()
+        if args.json_output:
+            print(json.dumps({"root": str(store.root), "removed_refs": removed}, indent=2))
+        else:
+            print(f"removed {removed} stored results from {store.root}")
+        return 0
     if args.action == "stats":
         stats = store.stats()
         if args.json_output:
@@ -887,21 +891,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_cache(args: argparse.Namespace) -> int:
-    root = Path(args.cache_dir) if args.cache_dir else default_cache_dir()
-    cache = CompileCache.from_store(ArtifactStore(root))
-    if args.clear:
-        removed = cache.clear()
-        print(f"removed {removed} cached results from {cache.root}")
-    if args.info or not args.clear:
-        print(format_table(["property", "value"], [
-            ["directory", str(cache.root)],
-            ["entries", len(cache)],
-            ["size (KiB)", cache.size_bytes() / 1024.0],
-        ]))
-    return 0
-
-
 def _run_table1(_args: argparse.Namespace) -> int:
     rows = []
     for group, gates in table1_durations().items():
@@ -911,8 +900,8 @@ def _run_table1(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _figure_rows(name: str, workers: int = 1, cache=None) -> tuple[list[str], list[list]]:
-    engine = {"workers": workers, "cache": cache}
+def _figure_rows(name: str, workers: int = 1, store=None) -> tuple[list[str], list[list]]:
+    engine = {"workers": workers, "store": store}
     if name == "fig3":
         traces = figure3_state_evolution(steps=11)
         rows = []
@@ -971,7 +960,7 @@ def _figure_rows(name: str, workers: int = 1, cache=None) -> tuple[list[str], li
 
 def _run_figure(args: argparse.Namespace) -> int:
     headers, rows = _figure_rows(args.name, workers=args.workers,
-                                 cache=_cache_from_args(args))
+                                 store=_runner_store_from_args(args))
     print(format_table(headers, rows))
     if args.output:
         path = save_csv(args.output, headers, rows)
@@ -988,7 +977,6 @@ _HANDLERS = {
     "crosscheck": _run_crosscheck,
     "table1": _run_table1,
     "figure": _run_figure,
-    "cache": _run_cache,
     "store": _run_store,
     "submit": _run_submit,
     "serve": _run_serve,

@@ -19,7 +19,7 @@ Three ablations are provided:
 Each ablation expresses its baseline/ablated pair as two declarative
 :class:`~repro.runner.SweepPoint` values (device tweaks become
 duration/fidelity overrides on the :class:`~repro.runner.DeviceSpec`), so the
-pair executes through the runner engine and can share its compile cache.
+pair executes through the runner engine and can share its artifact store.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 from repro.metrics.eps import EPSReport
 from repro.pulses.durations import GateDurationTable
-from repro.runner import CompileCache, SweepPlan, DeviceSpec, execute_plan
+from repro.runner import SweepPlan, DeviceSpec, execute_plan
+from repro.store import ArtifactStore
 
 
 @dataclass(frozen=True)
@@ -59,9 +60,9 @@ class AblationResult:
 def _run_pair(
     baseline_plan: SweepPlan,
     ablated_plan: SweepPlan,
-    cache: CompileCache | None,
+    store: ArtifactStore | None,
 ) -> tuple[EPSReport, EPSReport]:
-    baseline, ablated = execute_plan(baseline_plan + ablated_plan, cache=cache)
+    baseline, ablated = execute_plan(baseline_plan + ablated_plan, store=store)
     return baseline.report, ablated.report
 
 
@@ -70,7 +71,7 @@ def merging_ablation(
     num_qubits: int = 16,
     strategy: str = "eqm",
     seed: int = 0,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
 ) -> AblationResult:
     """Compile with and without the combined single-ququart gate merge."""
     merged = SweepPlan.single(
@@ -81,7 +82,7 @@ def merging_ablation(
         benchmark, num_qubits, strategy, seed=seed,
         compiler_kwargs={"merge_single_qubit_gates": False},
     )
-    baseline, ablated = _run_pair(merged, unmerged, cache)
+    baseline, ablated = _run_pair(merged, unmerged, store)
     return AblationResult(
         benchmark=benchmark,
         num_qubits=num_qubits,
@@ -115,7 +116,7 @@ def internal_gate_ablation(
     num_qubits: int = 16,
     strategy: str = "rb",
     seed: int = 0,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
 ) -> AblationResult:
     """Remove the internal-gate advantage and recompile."""
     durations, fidelities = _overrides_without_internal_advantage()
@@ -128,7 +129,7 @@ def internal_gate_ablation(
     ablated_plan = SweepPlan.single(
         benchmark, num_qubits, strategy, device=ablated_spec, seed=seed
     )
-    baseline, ablated = _run_pair(baseline_plan, ablated_plan, cache)
+    baseline, ablated = _run_pair(baseline_plan, ablated_plan, store)
     return AblationResult(
         benchmark=benchmark,
         num_qubits=num_qubits,
@@ -143,7 +144,7 @@ def uniform_routing_ablation(
     num_qubits: int = 16,
     strategy: str = "eqm",
     seed: int = 0,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
 ) -> AblationResult:
     """Collapse the Eq. 4 cost model by giving every gate the same fidelity.
 
@@ -159,7 +160,7 @@ def uniform_routing_ablation(
     ablated_plan = SweepPlan.single(
         benchmark, num_qubits, strategy, device=ablated_spec, seed=seed
     )
-    baseline, ablated = _run_pair(baseline_plan, ablated_plan, cache)
+    baseline, ablated = _run_pair(baseline_plan, ablated_plan, store)
     return AblationResult(
         benchmark=benchmark,
         num_qubits=num_qubits,

@@ -24,7 +24,7 @@ from itertools import combinations
 
 from repro.evaluation.validate import ValidationRow, validate_eps
 from repro.noise.result import NoisyResult
-from repro.runner import CompileCache
+from repro.store import ArtifactStore
 
 #: Backends compared when the caller does not choose.
 DEFAULT_CROSSCHECK_BACKENDS: tuple[str, ...] = ("trajectory", "external-sim")
@@ -121,7 +121,7 @@ def cross_backend_check(
     device_kind: str = "grid",
     rel_tolerance: float = 0.10,
     workers: int = 1,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
 ) -> list[CrossCheckRow]:
     """Run the validation cells on every backend and zip the estimates.
 
@@ -138,7 +138,7 @@ def cross_backend_check(
         per_backend[backend] = validate_eps(
             benchmarks=benchmarks, sizes=sizes, strategies=strategies,
             noise=noise, shots=shots, seed=seed, device_kind=device_kind,
-            rel_tolerance=rel_tolerance, workers=workers, cache=cache,
+            rel_tolerance=rel_tolerance, workers=workers, store=store,
             backend=backend,
             compiler_kwargs={"merge_single_qubit_gates": False},
         )

@@ -3,7 +3,7 @@
 Every sweep-shaped experiment enumerates a declarative
 :class:`~repro.runner.SweepPlan` and executes it through
 :func:`~repro.runner.execute_plan`, so each driver accepts ``workers`` (fan
-out across processes) and ``cache`` (reuse compiled points across runs and
+out across processes) and ``store`` (reuse compiled points across runs and
 across experiments that share cells).
 """
 
@@ -13,7 +13,8 @@ from repro.gates.library import PHYSICAL_GATES
 from repro.metrics.eps import evaluate_eps
 from repro.metrics.histograms import grouped_histogram
 from repro.pulses.durations import GateDurationTable
-from repro.runner import CompileCache, DeviceSpec, StrategyResult, SweepPlan, execute_plan
+from repro.runner import DeviceSpec, StrategyResult, SweepPlan, execute_plan
+from repro.store import ArtifactStore
 from repro.simulation.encoding import cx_state_evolution
 from repro.evaluation.sweep import DEFAULT_STRATEGIES
 
@@ -63,7 +64,7 @@ def figure4_exhaustive(
     max_pairs: int = 4,
     seed: int = 0,
     workers: int = 1,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
 ) -> dict[str, dict]:
     """Exhaustive compression on a cylinder QAOA circuit (Figure 4).
 
@@ -84,7 +85,7 @@ def figure4_exhaustive(
             },
         )
         labels.append("critical" if selection == "critical" else "any")
-    results = execute_plan(plan, workers=workers, cache=cache)
+    results = execute_plan(plan, workers=workers, store=store)
     return {
         label: {"report": result.report, "pairs": result.compiled.compressed_pairs}
         for label, result in zip(labels, results)
@@ -102,7 +103,7 @@ def strategy_sweep(
     t1_scale: float = 1.0,
     seed: int = 0,
     workers: int = 1,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
     backend: str = "trajectory",
 ) -> dict[str, dict[int, dict[str, StrategyResult]]]:
     """Gate and coherence EPS for every (benchmark, size, strategy) cell.
@@ -117,7 +118,7 @@ def strategy_sweep(
     spec = DeviceSpec(kind=device_kind, t1_scale=t1_scale)
     plan = SweepPlan.cartesian(benchmarks, sizes, strategies, device=spec, seed=seed,
                                backend=backend)
-    flat = execute_plan(plan, workers=workers, cache=cache)
+    flat = execute_plan(plan, workers=workers, store=store)
     results: dict[str, dict[int, dict[str, StrategyResult]]] = {}
     for point, result in zip(plan, flat):
         results.setdefault(point.benchmark, {}).setdefault(point.num_qubits, {})[
@@ -134,11 +135,11 @@ def figure8_gate_distribution(
     strategies: tuple[str, ...] = ("qubit_only", "eqm", "rb", "awe", "pp"),
     seed: int = 0,
     workers: int = 1,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
 ) -> dict[str, dict[str, int]]:
     """Gate-type distribution for the torus QAOA circuit (Figure 8)."""
     plan = SweepPlan.cartesian(("qaoa_torus",), (num_qubits,), strategies, seed=seed)
-    results = execute_plan(plan, workers=workers, cache=cache)
+    results = execute_plan(plan, workers=workers, store=store)
     return {
         point.strategy: grouped_histogram(result.compiled)
         for point, result in zip(plan, results)
@@ -155,7 +156,7 @@ def figure9_qubit_error_sweep(
     strategies: tuple[str, ...] = ("qubit_only", "eqm", "rb"),
     seed: int = 0,
     workers: int = 1,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
 ) -> dict[str, dict[float, dict[str, StrategyResult]]]:
     """Gate EPS as the bare-qubit gate error improves (Figure 9).
 
@@ -168,7 +169,7 @@ def figure9_qubit_error_sweep(
         plan = plan + SweepPlan.cartesian(
             benchmarks, (num_qubits,), strategies, device=spec, seed=seed
         )
-    flat = execute_plan(plan, workers=workers, cache=cache)
+    flat = execute_plan(plan, workers=workers, store=store)
     results: dict[str, dict[float, dict[str, StrategyResult]]] = {}
     for point, result in zip(plan, flat):
         scale = point.device.qubit_error_scale
@@ -188,12 +189,12 @@ def figure11_t1_improvement(
     strategies: tuple[str, ...] = ("qubit_only", "eqm", "rb"),
     seed: int = 0,
     workers: int = 1,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
 ) -> dict[str, dict[str, StrategyResult]]:
     """Coherence EPS with 10x better T1 for both qubits and ququarts (Fig. 11)."""
     spec = DeviceSpec(kind="grid", t1_scale=t1_scale)
     plan = SweepPlan.cartesian(benchmarks, (num_qubits,), strategies, device=spec, seed=seed)
-    flat = execute_plan(plan, workers=workers, cache=cache)
+    flat = execute_plan(plan, workers=workers, store=store)
     results: dict[str, dict[str, StrategyResult]] = {}
     for point, result in zip(plan, flat):
         results.setdefault(point.benchmark, {})[point.strategy] = result
@@ -211,7 +212,7 @@ def figure12_t1_ratio_sweep(
     t1_scale: float = 10.0,
     seed: int = 0,
     workers: int = 1,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
 ) -> dict[str, dict]:
     """Total EPS versus the ququart/qubit T1 ratio, with crossovers (Fig. 12).
 
@@ -228,7 +229,7 @@ def figure12_t1_ratio_sweep(
     plan = SweepPlan.cartesian(
         benchmarks, (num_qubits,), ("qubit_only", strategy), device=spec, seed=seed
     )
-    flat = execute_plan(plan, workers=workers, cache=cache)
+    flat = execute_plan(plan, workers=workers, store=store)
     compiled_cells: dict[str, dict[str, StrategyResult]] = {}
     for point, result in zip(plan, flat):
         compiled_cells.setdefault(point.benchmark, {})[point.strategy] = result
@@ -271,7 +272,7 @@ def figure13_topologies(
     strategy: str = "eqm",
     seed: int = 0,
     workers: int = 1,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
 ) -> dict[str, dict[str, dict]]:
     """Ranges of gate-EPS improvement across device topologies (Figure 13)."""
     plan = SweepPlan()
@@ -280,7 +281,7 @@ def figure13_topologies(
             benchmarks, sizes, ("qubit_only", strategy),
             device=DeviceSpec(kind=topology), seed=seed,
         )
-    flat = execute_plan(plan, workers=workers, cache=cache)
+    flat = execute_plan(plan, workers=workers, store=store)
     cells: dict[tuple[str, str, int], dict[str, StrategyResult]] = {}
     for point, result in zip(plan, flat):
         cells.setdefault((point.benchmark, point.device.kind, point.num_qubits), {})[

@@ -4,7 +4,7 @@ The heavy lifting lives in :mod:`repro.runner`: experiments enumerate
 :class:`~repro.runner.SweepPoint` values and hand them to a
 :class:`~repro.runner.ParallelExecutor`.  The helpers here keep the legacy
 call signatures (``compile_benchmark``, ``run_strategies``) while exposing
-``workers`` / ``cache`` knobs that route through the engine.
+``workers`` / ``store`` knobs that route through the engine.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from repro.compression import get_strategy
 from repro.metrics.eps import evaluate_eps
 from repro.pulses.durations import GateDurationTable
 from repro.runner import (
-    CompileCache,
     DeviceSpec,
     StrategyResult,
     SweepPlan,
     execute_plan,
     make_device,
 )
+from repro.store import ArtifactStore
 from repro.workloads.registry import build_benchmark
 
 #: Strategies plotted in Figures 7 and 10 (EC is opt-in because of its cost).
@@ -58,7 +58,7 @@ def compile_circuit(
     Unlike :func:`compile_benchmark` the circuit is supplied directly rather
     than built from the registry, so external OpenQASM programs flow through
     the exact same pipeline and EPS evaluation as the paper benchmarks.  The
-    compile happens inline (a live circuit is not a cache content key).
+    compile happens inline (a live circuit is not a content key).
     """
     if device is None:
         device = device_for(device_kind, circuit.num_qubits)
@@ -81,14 +81,14 @@ def compile_benchmark(
     device_kind: str = "grid",
     seed: int = 0,
     strategy_kwargs: dict | None = None,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
 ) -> StrategyResult:
     """Build, compile and evaluate one benchmark under one strategy.
 
     When an explicit :class:`Device` object is supplied the compile happens
-    inline against it (caching is unavailable — a live device is not a
+    inline against it (the store is unavailable — a live device is not a
     content key).  Otherwise the point routes through the runner engine and
-    may be served from ``cache``.
+    may be served from ``store``.
     """
     if device is not None:
         circuit = build_benchmark(benchmark, num_qubits, seed=seed)
@@ -106,7 +106,7 @@ def compile_benchmark(
         device=DeviceSpec(kind=device_kind), seed=seed,
         strategy_kwargs=strategy_kwargs,
     )
-    return execute_plan(plan, workers=1, cache=cache)[0]
+    return execute_plan(plan, workers=1, store=store)[0]
 
 
 def run_strategies(
@@ -117,13 +117,13 @@ def run_strategies(
     device_kind: str = "grid",
     seed: int = 0,
     workers: int = 1,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
 ) -> dict[str, StrategyResult]:
     """Compile one benchmark under several strategies on the same device.
 
-    The default path (``workers=1``, no cache, no explicit device) compiles
+    The default path (``workers=1``, no store, no explicit device) compiles
     serially against one shared :class:`Device` instance — the
-    reproducibility reference.  With ``workers > 1`` or a ``cache`` the
+    reproducibility reference.  With ``workers > 1`` or a ``store`` the
     points fan out through :class:`~repro.runner.ParallelExecutor`; results
     are numerically identical because every worker rebuilds the device from
     the same spec.
@@ -138,7 +138,7 @@ def run_strategies(
             for strategy in strategies
         }
     spec = DeviceSpec(kind=device_kind)
-    if workers == 1 and cache is None:
+    if workers == 1 and store is None:
         shared = spec.build(num_qubits)
         return {
             strategy: compile_benchmark(
@@ -149,5 +149,5 @@ def run_strategies(
     plan = SweepPlan.cartesian(
         (benchmark,), (num_qubits,), strategies, device=spec, seed=seed
     )
-    results = execute_plan(plan, workers=workers, cache=cache)
+    results = execute_plan(plan, workers=workers, store=store)
     return {point.strategy: result for point, result in zip(plan, results)}

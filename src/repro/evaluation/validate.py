@@ -14,7 +14,7 @@ relative of it.
 Everything — compiles and shot chunks alike — is dispatched as one
 :class:`~repro.runner.SweepPlan` per stage through the shared executor, so
 ``workers`` parallelises across every cell's shot batches at once and a
-``cache`` reuses both compiled circuits and simulated chunks across runs.
+``store`` reuses both compiled circuits and simulated chunks across runs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 from repro.noise.model import NoiseSpec
 from repro.noise.points import DEFAULT_CHUNK_SIZE, prime_compiled, shot_plan
 from repro.noise.result import NoisyResult
-from repro.runner import CompileCache, DeviceSpec, SweepPlan, execute_plan
+from repro.runner import DeviceSpec, SweepPlan, execute_plan
+from repro.store import ArtifactStore
 
 #: Default validation set: small instances of a local, a dense and a
 #: GHZ-style workload — big enough to exercise compression, small enough
@@ -155,7 +156,7 @@ def validate_eps(
     rel_tolerance: float = 0.10,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     workers: int = 1,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
     track_state: bool = False,
     backend: str = "trajectory",
     compiler_kwargs: dict | None = None,
@@ -197,7 +198,7 @@ def validate_eps(
         benchmarks, sizes, strategies, device=DeviceSpec(kind=device_kind), seed=seed,
         compiler_kwargs=compiler_kwargs, backend=backend,
     )
-    compiled_results = execute_plan(compile_plan, workers=workers, cache=cache)
+    compiled_results = execute_plan(compile_plan, workers=workers, store=store)
     for point, result in zip(compile_plan, compiled_results):
         prime_compiled(point, result.compiled)
 
@@ -209,7 +210,7 @@ def validate_eps(
         for point in compile_plan
     ]
     combined = SweepPlan(tuple(p for plan in cell_plans for p in plan))
-    chunks = execute_plan(combined, workers=workers, cache=cache)
+    chunks = execute_plan(combined, workers=workers, store=store)
 
     rows: list[ValidationRow] = []
     offset = 0

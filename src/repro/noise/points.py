@@ -3,7 +3,7 @@
 A :class:`NoisePoint` is one chunk of Monte Carlo shots for one compiled
 circuit under one noise spec — frozen, picklable and content-keyed, so shot
 batches fan out through the existing :class:`~repro.runner.ParallelExecutor`
-and land in the same on-disk cache as compile results.  Because every shot's
+and land in the same artifact store as compile results.  Because every shot's
 RNG stream depends only on ``(seed, absolute shot index)``, the chunked
 results merge into a :class:`~repro.noise.result.NoisyResult` that is
 bit-identical whatever the worker count or chunk size.
@@ -23,9 +23,9 @@ from repro.compiler.result import CompiledCircuit
 from repro.noise.model import NoiseSpec
 from repro.noise.result import NoisyResult
 from repro.noise.trajectory import TrajectoryEngine
-from repro.runner.cache import CompileCache
 from repro.runner.plan import SweepPlan
 from repro.runner.points import SweepPoint
+from repro.store import ArtifactStore
 
 #: Default shots per plan point.  Sized for the chunk-batched vectorised
 #: engine: thousands of shots per chunk amortise the per-chunk overhead
@@ -159,12 +159,12 @@ def simulate_point(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     track_state: bool = False,
     workers: int = 1,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
 ) -> NoisyResult:
     """Simulate one declarative compile point under noise, with fan-out.
 
     Chunks ride the :class:`~repro.runner.ParallelExecutor`; results merge
-    in plan order, so ``workers=1`` and ``workers=N`` (and cache-served
+    in plan order, so ``workers=1`` and ``workers=N`` (and store-served
     re-runs) return bit-identical :class:`NoisyResult` values.
     """
     from repro.runner.executor import execute_plan
@@ -173,7 +173,7 @@ def simulate_point(
         compile_point, noise, shots,
         seed=seed, chunk_size=chunk_size, track_state=track_state,
     )
-    chunks = execute_plan(plan, workers=workers, cache=cache)
+    chunks = execute_plan(plan, workers=workers, store=store)
     result = NoisyResult.from_chunks(chunks, seed)
     if not chunks and track_state:
         # a zero-shot plan has no chunks to vote on trackedness; preserve

@@ -1,23 +1,14 @@
-"""Compile cache: content keying for plan points over the artifact store.
+"""Content keying for plan points stored in the artifact store.
 
-Since PR 6 the on-disk format is the content-addressed
-:class:`~repro.store.ArtifactStore` (``blobs/<sha256[:2]>/<sha256>`` plus a
-``refs/`` index and ``manifests/``), not a flat directory of pickles.
-:class:`CompileCache` is the compatibility shim that keeps the ``get``/
-``put``/``stats`` API working over the store: writes are atomic (temp file
-+ ``os.replace``), safe under concurrent writers, deduplicated by content,
-and every read is hash-verified — a truncated or corrupt entry is detected
-and served as a miss instead of crashing ``pickle.load``.  Build it with
-:meth:`CompileCache.from_store`; the legacy directory-path constructor
-emits a :class:`DeprecationWarning`.
-
-This module also owns *keying*: :func:`point_key` digests a plan point's
-canonical JSON payload together with a fingerprint of the whole ``repro``
-package source and a schema version.  Invalidation is therefore automatic
-and total: any change to the point — strategy kwargs, device recipe
-(topology kind, T1 knobs, duration or fidelity overrides), seed — changes
-the digest; any source edit retires every entry; and the schema version
-covers result-format changes independent of code content.
+:func:`point_key` digests a plan point's canonical JSON payload together
+with a fingerprint of the whole ``repro`` package source and a schema
+version.  The executor, the sweep service and the replay backend all key
+the content-addressed :class:`~repro.store.ArtifactStore` with it, so
+invalidation is automatic and total: any change to the point — strategy
+kwargs, device recipe (topology kind, T1 knobs, duration or fidelity
+overrides), seed — changes the digest; any source edit retires every
+entry; and the schema version covers result-format changes independent of
+code content.
 """
 
 from __future__ import annotations
@@ -26,13 +17,10 @@ import functools
 import hashlib
 import json
 import os
-import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import repro
-from repro.runner.points import StrategyResult, SweepPoint, ensure_execution_point
-from repro.store import ArtifactStore
+from repro.runner.points import ensure_execution_point
 
 #: Bump to invalidate every existing cache entry (result-format changes).
 CACHE_SCHEMA_VERSION = 1
@@ -77,105 +65,9 @@ def point_key(point) -> str:
 
 
 def default_cache_dir() -> Path:
-    """Cache root: ``$REPRO_CACHE_DIR`` if set, else ``.repro_cache/``."""
+    """Default store root: ``$REPRO_CACHE_DIR`` if set, else ``.repro_cache/``."""
     override = os.environ.get(CACHE_DIR_ENV)
     if override:
         return Path(override)
     return Path(".repro_cache")
 
-
-@dataclass
-class CacheStats:
-    """Hit/miss/write counters for one :class:`CompileCache` instance."""
-
-    hits: int = 0
-    misses: int = 0
-    writes: int = 0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.writes = 0
-
-
-class CompileCache:
-    """Point-keyed view over an :class:`~repro.store.ArtifactStore`.
-
-    Maps plan points (:class:`~repro.runner.points.ExecutionPoint` values)
-    to their pickled results through the store's content-addressed blobs.
-    Two caches over the same store root — in the same process, in two
-    worker processes, or on two machines sharing a filesystem — serve and
-    publish a single consistent set of artifacts.
-
-    Build one with :meth:`from_store`; the legacy directory-path
-    constructor still works but is deprecated — the store, not a bare
-    path, is the native currency since PR 6.
-    """
-
-    def __init__(self, root: Path | str | None = None, *,
-                 store: ArtifactStore | None = None) -> None:
-        if store is not None:
-            if root is not None:
-                raise ValueError("pass either a store or a root path, not both")
-        else:
-            warnings.warn(
-                "constructing CompileCache from a directory path is "
-                "deprecated; build a repro.store.ArtifactStore and use "
-                "CompileCache.from_store(store)",
-                DeprecationWarning, stacklevel=2,
-            )
-            store = ArtifactStore(Path(root) if root is not None else default_cache_dir())
-        self.store = store
-        self.root = Path(store.root)
-        self.stats = CacheStats()
-
-    @classmethod
-    def from_store(cls, store: ArtifactStore) -> "CompileCache":
-        """Store-native constructor: wrap an existing :class:`ArtifactStore`."""
-        return cls(store=store)
-
-    # ------------------------------------------------------------------
-    # keying
-    # ------------------------------------------------------------------
-    def key(self, point: SweepPoint) -> str:
-        """Stable content digest for one point (see :func:`point_key`)."""
-        return point_key(point)
-
-    # ------------------------------------------------------------------
-    # lookup / store
-    # ------------------------------------------------------------------
-    def get(self, point: SweepPoint) -> StrategyResult | None:
-        """Return the cached result for ``point`` (any payload()-bearing
-        plan point), or None on a miss.
-
-        Unreadable entries (truncated blobs, hash mismatches, pickle-format
-        drift) are removed and counted as misses rather than raised.
-        """
-        result = self.store.get_object(self.key(point))
-        if result is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return result
-
-    def put(self, point: SweepPoint, result: StrategyResult) -> Path:
-        """Publish ``result`` under the point's key; return the blob path."""
-        digest = self.store.put_object(
-            self.key(point), result, payload=point.payload()
-        )
-        self.stats.writes += 1
-        return self.store.blob_path(digest)
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return sum(1 for _ in self.store.iter_ref_paths())
-
-    def size_bytes(self) -> int:
-        """Total bytes used by the store rooted at this cache directory."""
-        return self.store.size_bytes()
-
-    def clear(self) -> int:
-        """Delete every entry; returns the number of results removed."""
-        return self.store.clear()

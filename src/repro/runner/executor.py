@@ -6,9 +6,10 @@ because each worker rebuilds its point from the pickled spec and executes
 it with no shared mutable state — ``workers=1`` is the reference path and
 ``workers>1`` is purely a wall-clock optimisation, which
 ``tests/test_runner.py`` pins by comparing serial and parallel reports.
-When a :class:`~repro.runner.cache.CompileCache` is attached, cache hits
-are redeemed from the artifact store and only the misses are dispatched;
-the merged result list is indistinguishable from an uncached run.
+When an :class:`~repro.store.ArtifactStore` is attached, each point is
+keyed once with :func:`~repro.runner.cache.point_key`, hits are redeemed
+from the store and only the misses are dispatched and published; the
+merged result list is indistinguishable from a store-less run.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.runner.cache import CompileCache
+# keyed through the module so a patched ``point_key`` is honoured
+import repro.runner.cache as keying
 from repro.runner.plan import SweepPlan
 from repro.runner.points import SweepPoint, execute_point, pin_store_root
+from repro.store import ArtifactStore
 
 
 @dataclass
@@ -33,7 +36,7 @@ class ExecutionStats:
 
 @dataclass
 class ParallelExecutor:
-    """Run sweep plans across processes with optional result caching.
+    """Run sweep plans across processes, optionally memoised in a store.
 
     ``workers=1`` executes points inline in plan order — the reproducibility
     reference path.  ``workers>1`` fans misses out over a
@@ -44,7 +47,7 @@ class ParallelExecutor:
     """
 
     workers: int = 1
-    cache: CompileCache | None = None
+    store: ArtifactStore | None = None
     #: Points handed to each worker task; ``None`` picks a chunk size that
     #: gives every worker ~4 chunks for decent load balancing.
     chunksize: int | None = None
@@ -65,27 +68,27 @@ class ParallelExecutor:
         :class:`~repro.noise.result.TrajectoryChunk`.
         """
         points = list(plan)
-        results: list = [None] * len(points)
-        pending: list[int] = []
-        for index, point in enumerate(points):
-            cached = self.cache.get(point) if self.cache is not None else None
-            if cached is not None:
-                results[index] = cached
-            else:
-                pending.append(index)
+        store = self.store
+        if store is None:
+            keys, results = [], [None] * len(points)
+        else:
+            keys = [keying.point_key(point) for point in points]
+            results = [store.get_object(key) for key in keys]
+        pending = [index for index, result in enumerate(results) if result is None]
         if pending:
             # store-reading backends (replay) must resolve against *this*
             # run's store, not the process default — pin the root onto the
-            # dispatched copies (content keys are unchanged, so the cache
-            # bookkeeping below still uses the original points).
+            # dispatched copies (content keys are unchanged, so the keys
+            # computed above still name the original points).
             to_run = [points[index] for index in pending]
-            if self.cache is not None:
-                to_run = [pin_store_root(point, self.cache.root) for point in to_run]
+            if store is not None:
+                to_run = [pin_store_root(point, store.root) for point in to_run]
             computed = self._execute(to_run)
             for index, result in zip(pending, computed):
                 results[index] = result
-                if self.cache is not None:
-                    self.cache.put(points[index], result)
+                if store is not None:
+                    store.put_object(keys[index], result,
+                                     payload=points[index].payload())
         self.last_stats = ExecutionStats(
             total_points=len(points),
             cache_hits=len(points) - len(pending),
@@ -95,7 +98,7 @@ class ParallelExecutor:
 
     #: Cap on the auto-picked dispatch chunk: huge plans (tens of
     #: thousands of shot chunks) would otherwise serialise into a handful
-    #: of giant worker tasks, losing load balancing and delaying cache
+    #: of giant worker tasks, losing load balancing and delaying store
     #: writes until the very end of the run.
     MAX_AUTO_CHUNKSIZE = 64
 
@@ -114,7 +117,7 @@ class ParallelExecutor:
 def execute_plan(
     plan: SweepPlan | Iterable[SweepPoint],
     workers: int = 1,
-    cache: CompileCache | None = None,
+    store: ArtifactStore | None = None,
     chunksize: int | None = None,
 ) -> list:
     """One-shot convenience wrapper around :class:`ParallelExecutor`.
@@ -122,4 +125,4 @@ def execute_plan(
     ``chunksize`` overrides the executor's auto-picked points-per-worker-task
     dispatch granularity (it does not change results, only scheduling).
     """
-    return ParallelExecutor(workers=workers, cache=cache, chunksize=chunksize).run(plan)
+    return ParallelExecutor(workers=workers, store=store, chunksize=chunksize).run(plan)

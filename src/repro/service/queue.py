@@ -208,7 +208,7 @@ class SweepService:
                         borrowed[index] = future
             self._update(job, cache_hits=cache_hits)
             try:
-                # the service executes with no cache attached, so pin
+                # the service executes with no store attached, so pin
                 # store-reading points (replay) to the service's own store
                 # here; the put_object below keeps using the original
                 # points (pinning never changes keys or payloads)

@@ -3,8 +3,9 @@
 This package is the persistence tier of the reproduction.  It knows nothing
 about sweep points or circuits — it stores bytes under their own SHA-256
 (``blobs/``), maps content keys to blobs (``refs/``) and records
-schema-validated run manifests (``manifests/``).  The compile cache
-(:class:`repro.runner.cache.CompileCache`) and the sweep service
+schema-validated run manifests (``manifests/``).  The runner's
+:class:`~repro.runner.ParallelExecutor` (behind every evaluation function
+and CLI verb that takes ``store=`` or ``--cache-dir``) and the sweep service
 (:mod:`repro.service`) are its two clients.
 
 Layout, atomicity and audit semantics are documented on

@@ -1,7 +1,7 @@
 """Content-addressed on-disk artifact store.
 
-The store is the persistence tier under the compile cache and the sweep
-service.  Three kinds of files live under one root:
+The store is the persistence tier under the runner's executor and the
+sweep service.  Three kinds of files live under one root:
 
 ``blobs/<sha256[:2]>/<sha256>``
     Raw byte blobs named by the SHA-256 of their own content.  Content
@@ -146,6 +146,12 @@ class ArtifactStore:
         self.manifests_dir = self.root / "manifests"
         for directory in (self.blobs_dir, self.refs_dir, self.manifests_dir):
             directory.mkdir(parents=True, exist_ok=True)
+        #: :meth:`get_object` outcomes on this instance — the hit/miss
+        #: counts the CLI prints and ``sweep --json`` reports.  The lock
+        #: keeps them exact when service job threads share one store.
+        self.hits = 0
+        self.misses = 0
+        self._count_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # blobs
@@ -237,7 +243,7 @@ class ArtifactStore:
                 yield path
 
     # ------------------------------------------------------------------
-    # pickled objects (what the compile-cache shim stores)
+    # pickled objects (what the executor and the sweep service store)
     # ------------------------------------------------------------------
     def put_object(self, key: str, obj, payload: dict | None = None) -> str:
         """Pickle ``obj``, publish it as a blob, point ``key`` at it.
@@ -252,9 +258,19 @@ class ArtifactStore:
     def get_object(self, key: str):
         """Load the object stored under ``key``, or None on any failure.
 
-        Corrupt blobs and dangling or unparseable refs are removed so the
-        next publisher repairs the entry; nothing here raises on bad data.
+        Counts a hit or a miss on this instance.  Corrupt blobs and
+        dangling or unparseable refs are removed so the next publisher
+        repairs the entry; nothing here raises on bad data.
         """
+        obj = self._load_object(key)
+        with self._count_lock:
+            if obj is None:
+                self.misses += 1
+            else:
+                self.hits += 1
+        return obj
+
+    def _load_object(self, key: str):
         ref = self.get_ref(key)
         if ref is None:
             return None
@@ -433,20 +449,15 @@ class ArtifactStore:
         stats.manifests = len(self.manifest_ids())
         return stats
 
-    def size_bytes(self) -> int:
-        """Total bytes of every file under the store root."""
-        return sum(
-            path.stat().st_size for path in self.root.rglob("*") if path.is_file()
-        )
-
     def clear(self) -> int:
-        """Delete every blob, ref and manifest; return the ref count removed."""
-        removed_refs = 0
-        for path in list(self.refs_dir.glob("*/*")):
-            if path.is_file():
-                removed_refs += 1
-                path.unlink(missing_ok=True)
-        for path in list(self.blobs_dir.glob("*/*")) + list(self.manifests_dir.glob("*")):
+        """Delete every blob, ref and manifest; return the ref count removed.
+
+        Stale temp files go too, but only real refs (what
+        :meth:`iter_ref_paths` yields) are counted.
+        """
+        removed_refs = sum(1 for _ in self.iter_ref_paths())
+        for path in [*self.refs_dir.glob("*/*"), *self.blobs_dir.glob("*/*"),
+                     *self.manifests_dir.glob("*")]:
             if path.is_file():
                 path.unlink(missing_ok=True)
         return removed_refs

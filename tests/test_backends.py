@@ -9,7 +9,6 @@ cross-backend verification harness.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -33,7 +32,6 @@ from repro.noise.points import shot_plan, simulate_point
 from repro.noise.result import NoisyResult
 from repro.runner import (
     CACHE_DIR_ENV,
-    CompileCache,
     ExecutionPoint,
     ParallelExecutor,
     SweepPlan,
@@ -220,23 +218,6 @@ class TestExecutionPointProtocol:
                 service.submit(SweepPlan((_NotAPoint(),)))
 
 
-class TestCompileCacheDeprecation:
-    def test_path_constructor_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="ArtifactStore"):
-            cache = CompileCache(tmp_path)
-        assert cache.root == tmp_path
-
-    def test_from_store_does_not_warn(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cache = CompileCache.from_store(ArtifactStore(tmp_path))
-        assert cache.root == tmp_path
-
-    def test_store_and_root_are_exclusive(self, tmp_path):
-        with pytest.raises(ValueError, match="not both"):
-            CompileCache(tmp_path, store=ArtifactStore(tmp_path))
-
-
 class TestContentKeys:
     def test_replay_key_equals_trajectory_key(self):
         assert point_key(_point("replay")) == point_key(_point("trajectory"))
@@ -263,19 +244,19 @@ class TestContentKeys:
 
 class TestReplayBackend:
     def _warm_store(self, tmp_path, monkeypatch, plan) -> list:
-        """Run ``plan`` on trajectory with a store-backed cache, point replay at it."""
+        """Run ``plan`` on trajectory into a store, point replay at it."""
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
-        return execute_plan(plan, cache=cache), cache
+        store = ArtifactStore(tmp_path)
+        return execute_plan(plan, store=store), store
 
     def test_warm_sweep_replays_bit_identical_with_zero_executed(
             self, tmp_path, monkeypatch):
         plan = SweepPlan.cartesian(("bv",), (4,), ("qubit_only", "eqm"))
-        reference, cache = self._warm_store(tmp_path, monkeypatch, plan)
+        reference, store = self._warm_store(tmp_path, monkeypatch, plan)
 
         replay_plan = SweepPlan.cartesian(
             ("bv",), (4,), ("qubit_only", "eqm"), backend="replay")
-        executor = ParallelExecutor(cache=cache)
+        executor = ParallelExecutor(store=store)
         replayed = executor.run(replay_plan)
         assert executor.last_stats.executed == 0
         assert executor.last_stats.cache_hits == len(plan)
@@ -286,12 +267,12 @@ class TestReplayBackend:
 
     def test_warm_shot_chunks_replay_without_an_executor_cache(
             self, tmp_path, monkeypatch):
-        """Even cache-less execution serves replay points from the store."""
+        """Even store-less execution serves replay points from the store."""
         point = _point()
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
-        execute_plan(SweepPlan((point,)), cache=cache)
-        reference = simulate_point(point, NOISE, 64, seed=3, cache=cache)
+        store = ArtifactStore(tmp_path)
+        execute_plan(SweepPlan((point,)), store=store)
+        reference = simulate_point(point, NOISE, 64, seed=3, store=store)
 
         replay_chunk = shot_plan(_point("replay"), NOISE, 64, seed=3)[0]
         assert replay_chunk.execute() == dataclasses.replace(reference, seed=3)

@@ -319,10 +319,21 @@ class TestCommands:
         main(["sweep", "--benchmarks", "bv", "--sizes", "6",
               "--strategies", "qubit_only", "--cache-dir", str(cache_dir)])
         capsys.readouterr()
-        assert main(["cache", "--dir", str(cache_dir)]) == 0
-        assert "entries" in capsys.readouterr().out
-        assert main(["cache", "--dir", str(cache_dir), "--clear"]) == 0
-        assert "removed 1 cached results" in capsys.readouterr().out
+        assert main(["store", "stats", "--dir", str(cache_dir), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["refs"] == 1
+        assert main(["store", "clear", "--dir", str(cache_dir)]) == 0
+        assert "removed 1 stored results" in capsys.readouterr().out
+        assert main(["store", "stats", "--dir", str(cache_dir), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["refs"] == 0
+
+    def test_store_actions_refuse_a_missing_root(self, capsys, tmp_path):
+        missing = tmp_path / "typo"
+        for action in ("stats", "verify", "gc", "clear"):
+            assert main(["store", action, "--dir", str(missing), "--json"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "no artifact store" in captured.err
+        assert not missing.exists()
 
 
 class TestValidateEpsShotGuard:

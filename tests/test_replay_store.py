@@ -20,7 +20,6 @@ from repro.cli import main
 from repro.evaluation import validate_eps
 from repro.noise import NoisePoint, NoiseSpec, shot_plan
 from repro.runner import (
-    CompileCache,
     ParallelExecutor,
     SweepPoint,
     execute_plan,
@@ -34,8 +33,8 @@ TABLE1 = NoiseSpec.from_preset("table1")
 
 def _warm_store(root, *points):
     """Execute ``points`` on their own backend into the store at ``root``."""
-    cache = CompileCache.from_store(ArtifactStore(root))
-    return cache, execute_plan(list(points), cache=cache)
+    store = ArtifactStore(root)
+    return store, execute_plan(list(points), store=store)
 
 
 @pytest.fixture
@@ -112,14 +111,14 @@ class TestReplayBackendLookup:
         monkeypatch.chdir(tmp_path)
         store_root = tmp_path / "warm"
         point = SweepPoint("ghz", 4, "eqm")
-        cache, [warm] = _warm_store(store_root, point)
+        _, [warm] = _warm_store(store_root, point)
         replay = dataclasses.replace(point, backend="replay")
-        # drop the cache layer's hit so the executor must dispatch the
+        # drop the executor's own store hit so it must dispatch the
         # point — the pinned lookup inside the backend has to serve it
-        class NoHitCache(CompileCache):
-            def get(self, _point):
+        class NoHitStore(ArtifactStore):
+            def get_object(self, _key):
                 return None
-        executor = ParallelExecutor(cache=NoHitCache.from_store(ArtifactStore(store_root)))
+        executor = ParallelExecutor(store=NoHitStore(store_root))
         [served] = executor.run([replay])
         assert executor.last_stats.executed == 1
         assert served.report == warm.report
@@ -130,16 +129,16 @@ class TestReplayBackendLookup:
         monkeypatch.chdir(tmp_path)
         store_root = tmp_path / "warm"
         compile_point = SweepPoint("bv", 4, "eqm")
-        cache = CompileCache.from_store(ArtifactStore(store_root))
+        store = ArtifactStore(store_root)
         plan = shot_plan(compile_point, TABLE1, 400, seed=7, chunk_size=150)
-        chunks = execute_plan(plan, cache=cache)
+        chunks = execute_plan(plan, store=store)
         replay_plan = [
             dataclasses.replace(
                 p, compile_point=dataclasses.replace(p.compile_point, backend="replay")
             )
             for p in plan
         ]
-        executor = ParallelExecutor(cache=cache)
+        executor = ParallelExecutor(store=store)
         replayed = executor.run(replay_plan)
         assert executor.last_stats.executed == 0
         assert executor.last_stats.cache_hits == len(replay_plan)
@@ -147,16 +146,16 @@ class TestReplayBackendLookup:
 
 
 class TestValidateEpsReplay:
-    """`validate_eps(backend="replay", cache=...)` resolves the caller's store."""
+    """`validate_eps(backend="replay", store=...)` resolves the caller's store."""
 
     KWARGS = dict(benchmarks=("bv",), sizes=(4,), strategies=("qubit_only",),
                   shots=600, seed=1)
 
     def test_replay_against_a_custom_store(self, tmp_path, clean_env, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        cache = CompileCache.from_store(ArtifactStore(tmp_path / "warm"))
-        warm = validate_eps(cache=cache, **self.KWARGS)
-        replayed = validate_eps(cache=cache, backend="replay", **self.KWARGS)
+        store = ArtifactStore(tmp_path / "warm")
+        warm = validate_eps(store=store, **self.KWARGS)
+        replayed = validate_eps(store=store, backend="replay", **self.KWARGS)
         assert [row.as_dict() for row in replayed] == [row.as_dict() for row in warm]
         assert "REPRO_CACHE_DIR" not in os.environ
 
@@ -165,11 +164,11 @@ class TestValidateEpsReplay:
         monkeypatch.chdir(tmp_path)
         # warm only the *default* root: a cold custom store must miss
         # loudly instead of silently serving the default root's artifacts
-        default_cache = CompileCache.from_store(ArtifactStore(tmp_path / ".repro_cache"))
-        validate_eps(cache=default_cache, **self.KWARGS)
-        cold = CompileCache.from_store(ArtifactStore(tmp_path / "cold"))
+        default_store = ArtifactStore(tmp_path / ".repro_cache")
+        validate_eps(store=default_store, **self.KWARGS)
+        cold = ArtifactStore(tmp_path / "cold")
         with pytest.raises(ReplayMissError, match="cold"):
-            validate_eps(cache=cold, backend="replay", **self.KWARGS)
+            validate_eps(store=cold, backend="replay", **self.KWARGS)
         assert "REPRO_CACHE_DIR" not in os.environ
 
 

@@ -1,14 +1,14 @@
-"""Tests for the parallel sweep execution engine and its compile cache."""
+"""Tests for the parallel sweep execution engine and its artifact store."""
 
 import pickle
 
 import pytest
 
+import repro.runner.cache as cache_module
 from repro.store import ArtifactStore
 from repro.evaluation import run_strategies, strategy_sweep
 from repro.evaluation.reporting import results_to_rows
 from repro.runner import (
-    CompileCache,
     DeviceSpec,
     ParallelExecutor,
     SweepPlan,
@@ -17,6 +17,7 @@ from repro.runner import (
     execute_point,
     freeze_kwargs,
     make_device,
+    point_key,
 )
 
 
@@ -90,60 +91,56 @@ class TestDeviceSpec:
             make_device("torus", 6)
 
 
-class TestCompileCache:
+class TestPointStore:
     def _point(self, **overrides):
         fields = {"benchmark": "bv", "num_qubits": 6, "strategy": "qubit_only"}
         fields.update(overrides)
         return SweepPoint(**fields)
 
     def test_roundtrip(self, tmp_path):
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
+        store = ArtifactStore(tmp_path)
         point = self._point()
-        assert cache.get(point) is None
+        assert store.get_object(point_key(point)) is None
         result = execute_point(point)
-        cache.put(point, result)
-        cached = cache.get(point)
+        store.put_object(point_key(point), result, payload=point.payload())
+        cached = store.get_object(point_key(point))
         assert cached is not None
         assert cached.report == result.report
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert len(cache) == 1
+        assert store.hits == 1
+        assert store.misses == 1
+        assert store.stats().refs == 1
 
-    def test_key_changes_with_strategy_kwargs_and_device(self, tmp_path):
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
+    def test_key_changes_with_strategy_kwargs_and_device(self):
         base = self._point()
-        assert cache.key(base) == cache.key(self._point())
-        assert cache.key(base) != cache.key(self._point(strategy_kwargs=(("max_pairs", 1),)))
-        assert cache.key(base) != cache.key(self._point(device=DeviceSpec(kind="ring")))
-        assert cache.key(base) != cache.key(
+        assert point_key(base) == point_key(self._point())
+        assert point_key(base) != point_key(self._point(strategy_kwargs=(("max_pairs", 1),)))
+        assert point_key(base) != point_key(self._point(device=DeviceSpec(kind="ring")))
+        assert point_key(base) != point_key(
             self._point(device=DeviceSpec(kind="grid", t1_scale=2.0))
         )
-        assert cache.key(base) != cache.key(self._point(seed=1))
+        assert point_key(base) != point_key(self._point(seed=1))
 
-    def test_key_changes_when_code_changes(self, tmp_path, monkeypatch):
-        import repro.runner.cache as cache_module
-
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
-        before = cache.key(self._point())
+    def test_key_changes_when_code_changes(self, monkeypatch):
+        before = point_key(self._point())
         monkeypatch.setattr(cache_module, "code_fingerprint", lambda: "different-code")
-        after = cache.key(self._point())
+        after = point_key(self._point())
         assert before != after
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
+        store = ArtifactStore(tmp_path)
         point = self._point()
-        blob = cache.put(point, execute_point(point))
+        blob = store.blob_path(store.put_object(point_key(point), execute_point(point)))
         blob.write_bytes(b"not a pickle")
-        assert cache.get(point) is None
+        assert store.get_object(point_key(point)) is None
         assert not blob.exists()
 
     def test_clear(self, tmp_path):
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
+        store = ArtifactStore(tmp_path)
         point = self._point()
-        cache.put(point, execute_point(point))
-        assert cache.size_bytes() > 0
-        assert cache.clear() == 1
-        assert len(cache) == 0
+        store.put_object(point_key(point), execute_point(point))
+        assert store.stats().blob_bytes > 0
+        assert store.clear() == 1
+        assert store.stats().refs == 0
 
 
 BELL_QASM = (
@@ -166,18 +163,16 @@ class TestQasmPoints:
         assert BELL_QASM not in str(payload)
         assert SweepPoint("bv", 6, "eqm").payload()["qasm_sha256"] is None
 
-    def test_identical_text_shares_a_key_and_edits_invalidate(self, tmp_path):
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
+    def test_identical_text_shares_a_key_and_edits_invalidate(self):
         base = SweepPoint.from_qasm(BELL_QASM, "eqm", name="bell")
         twin = SweepPoint.from_qasm(BELL_QASM, "eqm", name="bell")
         edited = SweepPoint.from_qasm(BELL_QASM + "x q[0];\n", "eqm", name="bell")
-        assert cache.key(base) == cache.key(twin)
-        assert cache.key(base) != cache.key(edited)
+        assert point_key(base) == point_key(twin)
+        assert point_key(base) != point_key(edited)
 
     def test_qasm_points_execute_and_cache(self, tmp_path):
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
         point = SweepPoint.from_qasm(BELL_QASM, "qubit_only", name="bell")
-        executor = ParallelExecutor(workers=1, cache=cache)
+        executor = ParallelExecutor(workers=1, store=ArtifactStore(tmp_path))
         first = executor.run(SweepPlan((point,)))
         assert executor.last_stats.executed == 1
         second = executor.run(SweepPlan((point,)))
@@ -226,8 +221,7 @@ class TestParallelExecutor:
             )
 
     def test_second_cached_run_recompiles_nothing(self, tmp_path):
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
-        executor = ParallelExecutor(workers=1, cache=cache)
+        executor = ParallelExecutor(workers=1, store=ArtifactStore(tmp_path))
         first = executor.run(self.PLAN)
         assert executor.last_stats.executed == len(self.PLAN)
         second = executor.run(self.PLAN)
@@ -236,12 +230,40 @@ class TestParallelExecutor:
         assert [r.report for r in first] == [r.report for r in second]
 
     def test_partial_cache_only_compiles_misses(self, tmp_path):
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
-        ParallelExecutor(workers=1, cache=cache).run(SweepPlan((self.PLAN[0],)))
-        executor = ParallelExecutor(workers=1, cache=cache)
+        store = ArtifactStore(tmp_path)
+        ParallelExecutor(workers=1, store=store).run(SweepPlan((self.PLAN[0],)))
+        executor = ParallelExecutor(workers=1, store=store)
         executor.run(self.PLAN)
         assert executor.last_stats.cache_hits == 1
         assert executor.last_stats.executed == len(self.PLAN) - 1
+
+    @staticmethod
+    def _count_point_keys(monkeypatch) -> list:
+        calls = []
+        real = cache_module.point_key
+
+        def counting(point):
+            calls.append(point)
+            return real(point)
+
+        monkeypatch.setattr(cache_module, "point_key", counting)
+        return calls
+
+    def test_store_keys_each_point_exactly_once(self, tmp_path, monkeypatch):
+        calls = self._count_point_keys(monkeypatch)
+        plan = SweepPlan.cartesian(("bv",), (4,), ("qubit_only", "eqm"))
+        executor = ParallelExecutor(workers=1, store=ArtifactStore(tmp_path))
+        executor.run(plan)  # every point misses, executes and is published
+        assert executor.last_stats.executed == len(plan)
+        assert len(calls) == len(plan)
+        executor.run(plan)  # every point hits
+        assert executor.last_stats.cache_hits == len(plan)
+        assert len(calls) == 2 * len(plan)
+
+    def test_no_store_computes_no_key(self, monkeypatch):
+        calls = self._count_point_keys(monkeypatch)
+        execute_plan(SweepPlan.cartesian(("bv",), (4,), ("qubit_only", "eqm")))
+        assert calls == []
 
 
 class TestEvaluationIntegration:
@@ -249,7 +271,7 @@ class TestEvaluationIntegration:
         legacy = run_strategies("cnu", 9, strategies=("qubit_only", "eqm"))
         engine = run_strategies(
             "cnu", 9, strategies=("qubit_only", "eqm"),
-            cache=CompileCache.from_store(ArtifactStore(tmp_path)),
+            store=ArtifactStore(tmp_path),
         )
         assert {name: r.report for name, r in legacy.items()} == {
             name: r.report for name, r in engine.items()

@@ -4,11 +4,13 @@ import hashlib
 import json
 import multiprocessing
 import pickle
+import sys
+import threading
 from dataclasses import dataclass
 
 import pytest
 
-from repro.runner import CompileCache, SweepPoint, execute_point, point_key
+from repro.runner import SweepPoint, execute_point, point_key
 from repro.store import (
     ArtifactStore,
     MANIFEST_SCHEMA,
@@ -272,9 +274,11 @@ class TestGC:
         store = ArtifactStore(tmp_path)
         store.put_object("ab" * 32, 1)
         store.write_manifest(_manifest_for(store, b"data"))
+        (store.refs_dir / "ab" / "y.json.tmp.9").write_bytes(b"torn")
         assert store.clear() == 1
         stats = store.stats()
         assert (stats.blobs, stats.refs, stats.manifests) == (0, 0, 0)
+        assert not list(store.refs_dir.glob("*/*"))
 
 
 # ----------------------------------------------------------------------
@@ -320,44 +324,72 @@ class TestConcurrentWriters:
         assert not [p for p in tmp_path.rglob("*") if ".tmp." in p.name]
 
 
-class TestCompileCacheShim:
+def _publish(store: ArtifactStore, point, result):
+    """Publish ``result`` the way the executor does; return its blob path."""
+    return store.blob_path(store.put_object(point_key(point), result, payload=point.payload()))
+
+
+class TestStoredResults:
     def test_results_live_in_the_store_layout(self, tmp_path):
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
+        store = ArtifactStore(tmp_path)
         point = SweepPoint("bv", 4, "qubit_only")
         result = execute_point(point)
-        blob_path = cache.put(point, result)
+        blob_path = _publish(store, point, result)
         assert blob_path.is_relative_to(tmp_path / "blobs")
         assert ArtifactStore(tmp_path).verify().ok
-        assert cache.get(point).report == result.report
+        assert store.get_object(point_key(point)).report == result.report
 
     def test_truncated_blob_is_a_miss_not_an_unpickling_crash(self, tmp_path):
-        # Regression for the pre-store CompileCache: a partial pickle write
+        # Regression for the pre-store result cache: a partial pickle write
         # (crash mid-put) used to be fed straight to pickle.load on the next
         # read.  The store re-hashes on read, so truncation must surface as
         # a plain miss that a later put repairs.
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
+        store = ArtifactStore(tmp_path)
         point = SweepPoint("bv", 4, "qubit_only")
         result = execute_point(point)
-        blob_path = cache.put(point, result)
+        blob_path = _publish(store, point, result)
         blob_path.write_bytes(blob_path.read_bytes()[:64])
-        assert cache.get(point) is None
-        assert cache.stats.misses == 1
-        cache.put(point, result)
-        assert cache.get(point).report == result.report
+        assert store.get_object(point_key(point)) is None
+        assert store.misses == 1
+        _publish(store, point, result)
+        assert store.get_object(point_key(point)).report == result.report
 
-    def test_two_caches_share_one_store(self, tmp_path):
-        writer, reader = CompileCache.from_store(ArtifactStore(tmp_path)), CompileCache.from_store(ArtifactStore(tmp_path))
+    def test_two_instances_share_one_root(self, tmp_path):
+        writer, reader = ArtifactStore(tmp_path), ArtifactStore(tmp_path)
         point = SweepPoint("bv", 4, "qubit_only")
-        writer.put(point, execute_point(point))
-        assert reader.get(point) is not None
-        assert reader.stats.hits == 1
+        _publish(writer, point, execute_point(point))
+        assert reader.get_object(point_key(point)) is not None
+        assert reader.hits == 1
 
     def test_pickle_protocol_is_stable_for_identical_results(self, tmp_path):
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
+        store = ArtifactStore(tmp_path)
         point = SweepPoint("bv", 4, "qubit_only")
         result = execute_point(point)
         data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        assert cache.put(point, result).name == hashlib.sha256(data).hexdigest()
+        assert _publish(store, point, result).name == hashlib.sha256(data).hexdigest()
+
+    def test_hit_and_miss_counts_are_exact_across_threads(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.put_object("ab" * 32, {"hit": True})
+        rounds, threads = 200, 8
+
+        def reader():
+            for _ in range(rounds):
+                store.get_object("ab" * 32)
+                store.get_object("cd" * 32)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=reader) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert (store.hits, store.misses) == (rounds * threads, rounds * threads)
 
 
 class TestWaitFor:

@@ -16,7 +16,7 @@ from repro.noise import (
     simulate_point,
     wilson_interval,
 )
-from repro.runner import CompileCache, ParallelExecutor, SweepPoint, execute_plan
+from repro.runner import ParallelExecutor, SweepPoint, execute_plan
 from repro.simulation.verify import VerificationError
 
 TABLE1 = NoiseSpec.from_preset("table1")
@@ -204,8 +204,7 @@ class TestRunnerIntegration:
     def test_chunks_cache_and_replay(self, tmp_path):
         point = SweepPoint("bv", 4, "qubit_only")
         plan = shot_plan(point, TABLE1, shots=400, seed=9, chunk_size=100)
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
-        executor = ParallelExecutor(workers=1, cache=cache)
+        executor = ParallelExecutor(workers=1, store=ArtifactStore(tmp_path))
         first = executor.run(plan)
         assert executor.last_stats.executed == 4
         second = executor.run(plan)
@@ -215,11 +214,11 @@ class TestRunnerIntegration:
 
     def test_cached_and_fresh_merges_agree(self, tmp_path):
         point = SweepPoint("bv", 4, "qubit_only")
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
+        store = ArtifactStore(tmp_path)
         fresh = simulate_point(point, TABLE1, 300, seed=1, chunk_size=100,
-                               cache=cache)
+                               store=store)
         served = simulate_point(point, TABLE1, 300, seed=1, chunk_size=100,
-                                cache=cache)
+                                store=store)
         assert fresh == served
 
     def test_noise_and_compile_points_share_a_plan(self):

@@ -84,11 +84,9 @@ class TestDeterminism:
         ]
 
     def test_cache_round_trip_is_identical(self, tmp_path):
-        from repro.runner import CompileCache
-
-        cache = CompileCache.from_store(ArtifactStore(tmp_path))
-        fresh = validate_eps(cache=cache, **self.CONFIG)
-        served = validate_eps(cache=cache, **self.CONFIG)
+        store = ArtifactStore(tmp_path)
+        fresh = validate_eps(store=store, **self.CONFIG)
+        served = validate_eps(store=store, **self.CONFIG)
         assert [row.result for row in fresh] == [row.result for row in served]
 
 

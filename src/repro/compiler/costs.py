@@ -9,17 +9,23 @@ ququart.  Path costs aggregate ``-log S`` over SWAP hops plus a final CX
 term.  The :class:`CostModel` fixes the unit modes (which are decided at
 mapping time and never change during routing) and answers every cost query
 the mapper and router need.
+
+Cache contract: because the modes are fixed for a :class:`CostModel`'s
+whole life, the slot graph and its edge costs never change, so each
+instance memoises them.  A slot's ``(neighbour, swap cost)`` edges are
+derived the first time the slot is expanded, Dijkstra runs at most once per
+source slot (keeping its distances *and* predecessors), and CX and
+interaction costs are kept per slot pair.  A different mode set needs a new
+:class:`CostModel`.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from functools import lru_cache
 
 from repro.arch.device import Device
 from repro.arch.interaction_graph import Slot
-from repro.gates.library import gate_spec
 from repro.gates.resolution import UnitMode, resolve_cx, resolve_single_qubit, resolve_swap
 
 
@@ -31,14 +37,26 @@ class CostModel:
     device:
         The target device (topology, durations, T1).
     ququart_units:
-        Physical units operated in ququart mode (both slots enabled).
+        Physical units operated in ququart mode (both slots enabled).  Every
+        one must be a unit of ``device``.
+
+    The modes are fixed for the instance's life and every graph query is
+    memoised on that basis (see the module docstring); build a new
+    :class:`CostModel` for a new mode set.
     """
 
     def __init__(self, device: Device, ququart_units: frozenset[int] | set[int]) -> None:
         self.device = device
         self.ququart_units = frozenset(ququart_units)
-        self._distance_cache: dict[tuple[Slot, Slot], float] = {}
-        self._sssp_cache: dict[Slot, dict[Slot, float]] = {}
+        off_device = sorted(u for u in self.ququart_units if u not in range(device.num_units))
+        if off_device:
+            raise ValueError(
+                f"ququart units {off_device} are not on the {device.num_units}-unit device"
+            )
+        self._edges: dict[Slot, list[tuple[Slot, float]]] = {}
+        self._trees: dict[Slot, tuple[dict[Slot, float], dict[Slot, Slot]]] = {}
+        self._cx_costs: dict[tuple[Slot, Slot], float] = {}
+        self._interactions: dict[tuple[Slot, Slot], float] = {}
 
     # ------------------------------------------------------------------
     # unit / slot structure
@@ -50,9 +68,9 @@ class CostModel:
     def is_enabled(self, slot: Slot) -> bool:
         """Whether a slot can hold a logical qubit under the fixed modes."""
         unit, position = slot
-        if position == 0:
-            return True
-        return unit in self.ququart_units
+        if unit not in range(self.device.num_units):
+            return False
+        return position == 0 or unit in self.ququart_units
 
     def enabled_slots(self) -> list[Slot]:
         """Every slot that can hold a logical qubit."""
@@ -128,20 +146,19 @@ class CostModel:
 
     def cx_cost(self, control: Slot, target: Slot) -> float:
         """``-log S`` of the CX between two adjacent (or co-located) slots."""
-        gate = self.cx_gate(control, target)
-        return self.op_cost(gate, (control[0], target[0]))
+        key = (control, target)
+        cost = self._cx_costs.get(key)
+        if cost is None:
+            gate = self.cx_gate(control, target)
+            cost = self._cx_costs[key] = self.op_cost(gate, (control[0], target[0]))
+        return cost
 
     # ------------------------------------------------------------------
     # distances (Eq. 4 aggregated over best paths)
     # ------------------------------------------------------------------
     def swap_distance(self, source: Slot, destination: Slot) -> float:
         """Minimum total SWAP cost to move a qubit from ``source`` to ``destination``."""
-        key = (source, destination)
-        if key in self._distance_cache:
-            return self._distance_cache[key]
-        distances = self._dijkstra(source)
-        for slot, value in distances.items():
-            self._distance_cache[(source, slot)] = value
+        distances, _previous = self._trees.get(source) or self._tree(source)
         return distances.get(destination, float("inf"))
 
     def interaction_distance(self, slot_a: Slot, slot_b: Slot) -> float:
@@ -153,51 +170,58 @@ class CostModel:
         """
         if slot_a == slot_b:
             return 0.0
+        key = (slot_a, slot_b)
+        best = self._interactions.get(key)
+        if best is not None:
+            return best
+        distances, _previous = self._trees.get(slot_a) or self._tree(slot_a)
         best = float("inf")
-        candidates = [slot_b] + self.slot_neighbors(slot_b)
-        distances = self._dijkstra(slot_a)
-        for landing in candidates:
-            if landing == slot_b:
-                travel = distances.get(slot_b, float("inf"))
-                # Landing on the partner slot means co-location: internal CX
-                # if the unit is a ququart, otherwise impossible.
-                if slot_b[0] in self.ququart_units:
-                    other = (slot_b[0], 1 - slot_b[1])
-                    cost = travel + self.cx_cost(other, slot_b)
-                else:
-                    cost = float("inf")
-            else:
-                travel = distances.get(landing, float("inf"))
-                cost = travel + self.cx_cost(landing, slot_b)
-            best = min(best, cost)
+        if slot_b[0] in self.ququart_units:
+            # Landing on the partner slot means co-location: internal CX.
+            partner = (slot_b[0], 1 - slot_b[1])
+            best = distances.get(slot_b, float("inf")) + self.cx_cost(partner, slot_b)
+        for landing in self.slot_neighbors(slot_b):
+            travel = distances.get(landing, float("inf"))
+            best = min(best, travel + self.cx_cost(landing, slot_b))
+        self._interactions[key] = best
         return best
 
-    def _dijkstra(self, source: Slot) -> dict[Slot, float]:
-        """Single-source SWAP-cost shortest paths over enabled slots (cached)."""
-        cached = self._sssp_cache.get(source)
-        if cached is not None:
-            return cached
-        distances: dict[Slot, float] = {source: 0.0}
-        queue: list[tuple[float, Slot]] = [(0.0, source)]
-        visited: set[Slot] = set()
-        while queue:
-            cost, slot = heapq.heappop(queue)
-            if slot in visited:
-                continue
-            visited.add(slot)
-            for neighbor in self.slot_neighbors(slot):
-                step = self.swap_cost(slot, neighbor)
-                new_cost = cost + step
-                if new_cost < distances.get(neighbor, float("inf")):
-                    distances[neighbor] = new_cost
-                    heapq.heappush(queue, (new_cost, neighbor))
-        self._sssp_cache[source] = distances
-        return distances
-
     def shortest_slot_path(self, source: Slot, destination: Slot) -> list[Slot]:
-        """Cheapest SWAP path between two enabled slots, inclusive of endpoints."""
+        """Cheapest SWAP path between two enabled slots, inclusive of endpoints.
+
+        Its cost is ``swap_distance(source, destination)``: the tree adds the
+        SWAP costs along this path left to right from zero.
+        """
         if source == destination:
             return [source]
+        _distances, previous = self._trees.get(source) or self._tree(source)
+        if destination not in previous:
+            raise RuntimeError(f"no route from {source} to {destination}")
+        path = [destination]
+        while path[-1] != source:
+            path.append(previous[path[-1]])
+        path.reverse()
+        return path
+
+    def _slot_edges(self, slot: Slot) -> list[tuple[Slot, float]]:
+        """``(neighbour, swap cost)`` for every enabled neighbour, derived once per slot."""
+        edges = self._edges.get(slot)
+        if edges is None:
+            edges = self._edges[slot] = [
+                (neighbor, self.swap_cost(slot, neighbor))
+                for neighbor in self.slot_neighbors(slot)
+            ]
+        return edges
+
+    def _tree(self, source: Slot) -> tuple[dict[Slot, float], dict[Slot, Slot]]:
+        """Dijkstra from ``source``: SWAP-cost distances and predecessors.
+
+        Runs once per source; callers read ``self._trees`` first.  ``source``
+        may be disabled under the modes (PP asks about hypothetical
+        co-locations).  Edge costs are strictly positive, so a settled slot's
+        predecessor never changes: the full tree picks the same predecessors
+        as a search that stops at any one destination.
+        """
         distances: dict[Slot, float] = {source: 0.0}
         previous: dict[Slot, Slot] = {}
         queue: list[tuple[float, Slot]] = [(0.0, source)]
@@ -206,26 +230,13 @@ class CostModel:
             cost, slot = heapq.heappop(queue)
             if slot in visited:
                 continue
-            if slot == destination:
-                break
             visited.add(slot)
-            for neighbor in self.slot_neighbors(slot):
-                step = self.swap_cost(slot, neighbor)
+            for neighbor, step in self._slot_edges(slot):
                 new_cost = cost + step
                 if new_cost < distances.get(neighbor, float("inf")):
                     distances[neighbor] = new_cost
                     previous[neighbor] = slot
                     heapq.heappush(queue, (new_cost, neighbor))
-        if destination not in distances:
-            raise RuntimeError(f"no route from {source} to {destination}")
-        path = [destination]
-        while path[-1] != source:
-            path.append(previous[path[-1]])
-        path.reverse()
-        return path
+        tree = self._trees[source] = (distances, previous)
+        return tree
 
-
-@lru_cache(maxsize=None)
-def gate_is_two_qudit(gate_name: str) -> bool:
-    """Cached check whether a physical gate spans two units."""
-    return gate_spec(gate_name).style.is_two_qudit

@@ -31,6 +31,17 @@ class TestStructure:
         assert costs.is_enabled((2, 1))
         assert not costs.is_enabled((3, 1))
 
+    def test_units_off_the_device_are_rejected(self):
+        device = Device(topology=linear_topology(4))
+        with pytest.raises(ValueError, match=r"\[7\]"):
+            CostModel(device, {1, 7})
+        with pytest.raises(ValueError):
+            CostModel(device, {-1})
+        costs = CostModel(device, {1})
+        assert not costs.is_enabled((7, 0))
+        assert not costs.is_enabled((-1, 0))
+        assert costs.swap_distance((0, 0), (7, 0)) == float("inf")
+
     def test_slot_neighbors_respect_modes(self, line_costs):
         _device, costs = line_costs
         neighbors = set(costs.slot_neighbors((0, 0)))

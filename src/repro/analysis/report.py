@@ -17,7 +17,7 @@ class of failure to callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.simulation.verify import VerificationError
 
@@ -139,14 +139,6 @@ class AnalysisReport:
                 f"static verification of {self.subject} found "
                 f"{len(lines)} error(s):\n  " + "\n  ".join(lines)
             )
-
-    def merged_with(self, other: "AnalysisReport") -> "AnalysisReport":
-        """Combine two reports (multi-cell lint runs fold into one)."""
-        return replace(
-            self,
-            passes_run=tuple(dict.fromkeys(self.passes_run + other.passes_run)),
-            findings=self.findings + other.findings,
-        )
 
     def as_dict(self) -> dict:
         """JSON-serialisable representation, inverse of :meth:`from_dict`."""

@@ -86,9 +86,6 @@ def initial_mapping(
     placement: Placement = {}
     occupied: dict[Slot, int] = {}
 
-    def slot_free(slot: Slot) -> bool:
-        return slot not in occupied
-
     def place(qubit: int, slot: Slot) -> None:
         placement[qubit] = slot
         occupied[slot] = qubit

@@ -157,13 +157,21 @@ class CompiledCircuit:
         """Number of operations inserted purely for routing."""
         return sum(1 for op in self.ops if op.is_communication)
 
-    def two_qudit_op_count(self) -> int:
-        """Number of operations spanning two physical units."""
-        return sum(1 for op in self.ops if op.style.is_two_qudit)
-
     # ------------------------------------------------------------------
     # flat schedules (cached; compiled circuits are immutable post-compile)
     # ------------------------------------------------------------------
+    def __getstate__(self) -> dict:
+        """Pickle the fields alone, without the process-local caches below.
+
+        Engines attach those caches before a result is published, so
+        pickling them would give one content key different blob bytes
+        depending on what else ran in the process.
+        """
+        return {
+            name: value for name, value in self.__dict__.items()
+            if name not in ("_error_site_cache", "_residency_cache", "_schedule_memo")
+        }
+
     def error_site_schedule(self) -> ErrorSiteSchedule:
         """Flat per-op error-site arrays, computed once and cached.
 

@@ -61,6 +61,7 @@ from repro.noise.kernel import (
     KernelSchedule,
     build_event_kernel,
     compile_schedule,
+    inject_paulis,
 )
 from repro.noise.model import NoiseModel, NoiseSpec, resolve_model
 from repro.noise.result import NoisyResult, TrajectoryChunk
@@ -433,28 +434,6 @@ class TrajectoryEngine:
         """Shots per state-tracking block, sized by the amplitude budget."""
         return max(1, min(EVENT_BLOCK_SHOTS, TRACKED_BLOCK_AMPLITUDES // self.dimension))
 
-    def _apply_pauli_strings(
-        self,
-        state: BatchedMixedRadixState,
-        slots: tuple[tuple[int, int], ...],
-        lanes: np.ndarray,
-        strings: np.ndarray,
-    ) -> None:
-        """Inject each fired lane's sampled Pauli string into the batch.
-
-        Lanes are grouped by string value so each distinct Pauli is one
-        lane-masked apply per non-identity slot — per lane, the exact op
-        sequence the scalar loop performs.
-        """
-        for value in np.unique(strings):
-            group = lanes[strings == value]
-            for position, (unit, slot) in enumerate(slots):
-                code = (int(value) >> (2 * (len(slots) - 1 - position))) & 3
-                if code == 0:
-                    continue
-                matrix, units = self._embeds.pauli(unit, slot, code)
-                state.apply(matrix, units, lanes=group)
-
     def _evolve_block(
         self, seed: int, base_shot: int, count: int
     ) -> tuple[GeneratorLanes, BatchedMixedRadixState, np.ndarray, np.ndarray, np.ndarray]:
@@ -599,7 +578,7 @@ class TrajectoryEngine:
             fired = np.flatnonzero(gate_mask[:, index] & executed)
             if fired.size:
                 strings = lanes.integers(fired, 1, 4 ** len(op.slots))
-                self._apply_pauli_strings(state, op.slots, fired, strings)
+                inject_paulis(state.apply, self._embeds.paulis(op.slots), fired, strings)
 
     def _run_tracked_batch(self, shots: int, seed: int, base_shot: int) -> TrajectoryChunk:
         """Vectorised state-tracking sampling over blocks of shots.

@@ -7,15 +7,21 @@ path: replaying a compiled circuit applies each op's embedded unitary to the
 whole batch at once, and the stochastic noise injections (Pauli strings,
 damping jumps) touch only the lanes whose error fired.
 
+The batched GEMM pipeline lives here alone: :func:`build_plan` (the only
+plan cache and the only wide-or-stacked decision) and ``_LazyState`` (plans
+executed in a lazily-tracked layout) serve both :meth:`apply` and the
+fused kernel programs of :mod:`repro.noise.kernel`.
+
 Bit-exactness contract: every lane evolves **bit-identically** to a
 :class:`~repro.simulation.statevector.MixedRadixState` fed the same
 operators.  Two implementation choices make that hold:
 
-* :meth:`apply` uses the same transpose → reshape-copy → GEMM → restore
-  pipeline as the scalar class.  NumPy's stacked ``matmul`` dispatches the
-  same BLAS GEMM per ``(sub_dim, rest)`` slice as the scalar 2-D product,
-  so each lane sees the identical kernel on identical memory layout (the
-  golden-equivalence tests pin this).
+* Every GEMM operand is the scalar class's transpose → reshape-copy,
+  batched.  NumPy's stacked ``matmul`` dispatches the same BLAS GEMM per
+  ``(sub_dim, rest)`` slice as the scalar 2-D product, and the wide panel
+  is used only where the BLAS build keeps columns panel-width
+  independent, so each lane sees the identical kernel on identical memory
+  (the golden-equivalence tests pin this).
 * Inner products (Kraus branch weights, fidelities) are computed with the
   scalar path's own ``np.vdot`` per lane — BLAS matrix-vector products sum
   in a different order and differ in the last ulp, which would break the
@@ -24,11 +30,12 @@ operators.  Two implementation choices make that hold:
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
+
 import numpy as np
 
-#: Kraus branches below this squared-norm weight are treated as impossible
-#: jumps and leave the lane unchanged (same constant as the scalar class).
-_DEAD_BRANCH_WEIGHT = 1e-18
+from repro.simulation.statevector import DEAD_BRANCH_WEIGHT
 
 #: Lazily probed: True when this build's BLAS produces bit-identical
 #: columns whatever the GEMM panel width (see :func:`_wide_panels_bitstable`).
@@ -68,6 +75,143 @@ def _wide_panels_bitstable() -> bool:
                     ok = False
         _WIDE_PANEL_OK = ok
     return _WIDE_PANEL_OK
+
+
+# ----------------------------------------------------------------------
+# plans: the per-op permutation/reshape recipe, computed once
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class ApplyPlan:
+    """Precomputed data-movement recipe for one target unit tuple.
+
+    The target axis order over the canonical ``(batch,) + dims`` tensor,
+    the GEMM operand shape family (wide panel vs stacked batch) and the
+    post-GEMM tensor shape.  Plans depend only on ``dims`` and ``units``,
+    so one plan serves every block size and lane subset.
+    """
+
+    units: tuple[int, ...]
+    sub_dim: int
+    rest: int
+    #: True when the GEMM uses the wide-panel layout (batch axis folded
+    #: into the columns).
+    wide: bool
+    #: Axis order over the canonical ``(batch,) + dims`` tensor the GEMM
+    #: operand is gathered in (axis 0 of the canonical tensor = lanes).
+    axes: tuple[int, ...]
+    #: Tensor shape in ``axes`` order with 0 at the batch slot (filled
+    #: with the live lane count at execution time).
+    shape_template: tuple[int, ...]
+
+    def shape(self, count: int) -> tuple[int, ...]:
+        """The post-GEMM tensor shape for a ``count``-lane batch."""
+        return tuple(count if entry == 0 else entry for entry in self.shape_template)
+
+
+@functools.lru_cache(maxsize=4096)
+def build_plan(dims: tuple[int, ...], units: tuple[int, ...]) -> ApplyPlan:
+    """The :class:`ApplyPlan` for ``units`` on a ``dims`` register (cached).
+
+    Two layouts, both bit-identical per lane to the scalar 2-D product
+    ``operator @ matrix`` with ``matrix`` of shape ``(sub_dim, rest)``:
+
+    * wide panel: the batch moves into the GEMM's *columns* — one
+      ``(sub_dim, count * rest)`` product instead of ``count`` BLAS
+      dispatches.  A lane's bits survive the widening only while every
+      lane's column span stays aligned to the BLAS kernel's register
+      blocking, so this layout is used only where that holds:
+      power-of-two ``sub_dim`` *and* ``rest`` (every mixed-radix register
+      of 2-/4-level units qualifies) with ``rest > 2`` (NumPy
+      special-cases skinnier products), and only after
+      :func:`_wide_panels_bitstable` has confirmed once per process that
+      this BLAS build keeps columns panel-width independent.  The batch
+      axis sits between the target and spectator axes so the gather and
+      scatter copies walk the source near-contiguously.
+    * otherwise: the batch stays on axis 0 and the stacked ``matmul``
+      issues the scalar path's exact per-lane call — trivially
+      bit-identical at per-lane dispatch cost.
+    """
+    dims = tuple(int(d) for d in dims)
+    units = tuple(int(u) for u in units)
+    dimension = int(np.prod(dims))
+    sub_dim = int(np.prod([dims[u] for u in units]))
+    rest = dimension // sub_dim
+    aligned = (sub_dim & (sub_dim - 1)) == 0 and (rest & (rest - 1)) == 0
+    wide = rest > 2 and aligned and _wide_panels_bitstable()
+    targets = [unit + 1 for unit in units]
+    spectators = [axis + 1 for axis in range(len(dims)) if axis not in units]
+    axes = targets + [0] + spectators if wide else [0] + targets + spectators
+    shape_template = tuple(0 if axis == 0 else dims[axis - 1] for axis in axes)
+    return ApplyPlan(
+        units=units, sub_dim=sub_dim, rest=rest, wide=wide,
+        axes=tuple(axes), shape_template=shape_template,
+    )
+
+
+# ----------------------------------------------------------------------
+# the lazily-permuted batch tensor
+# ----------------------------------------------------------------------
+class _LazyState:
+    """Cursor over one block's amplitudes in a lazily-tracked layout.
+
+    ``layout`` records the current axis order over the canonical
+    ``(batch,) + dims`` tensor; transitions compose transposes (views)
+    and materialise exactly one C-contiguous copy per layout change — the
+    copy the scalar pipeline's pre-GEMM reshape makes — while the scalar
+    pipeline's post-GEMM scatter back to canonical is deferred to
+    :meth:`restore`.
+    """
+
+    __slots__ = ("count", "tensor", "layout")
+
+    def __init__(self, dims: tuple[int, ...], amps: np.ndarray) -> None:
+        self.count = amps.shape[0]
+        self.tensor = amps.reshape((self.count,) + dims)
+        self.layout = tuple(range(len(dims) + 1))
+
+    def _to_layout(self, tensor: np.ndarray, target: tuple[int, ...]) -> np.ndarray:
+        """View of ``tensor`` (held in ``self.layout``) in ``target`` order."""
+        if self.layout == target:
+            return tensor
+        layout = self.layout
+        return tensor.transpose(tuple(layout.index(axis) for axis in target))
+
+    def _product(self, matrix: np.ndarray, plan: ApplyPlan,
+                 tensor: np.ndarray, count: int) -> np.ndarray:
+        """``matrix`` applied to ``count`` lanes of ``tensor``, in ``plan``'s layout."""
+        view = self._to_layout(tensor, plan.axes)
+        # the reshape materialises the permuted view C-contiguous — the
+        # same values in the same layout the scalar pre-GEMM copy produces
+        if plan.wide:
+            operand = view.reshape(plan.sub_dim, -1)
+        else:
+            operand = view.reshape(count, plan.sub_dim, -1)
+        return (matrix @ operand).reshape(plan.shape(count))
+
+    def apply_all(self, matrix: np.ndarray, plan: ApplyPlan) -> None:
+        """Apply ``matrix`` to every lane, leaving the state in ``plan``'s layout."""
+        self.tensor = self._product(matrix, plan, self.tensor, self.count)
+        self.layout = plan.axes
+
+    def apply_lanes(self, matrix: np.ndarray, plan: ApplyPlan, lanes: np.ndarray) -> None:
+        """Apply ``matrix`` to a lane subset, preserving the current layout.
+
+        Gather, transform, scatter — with the gather and scatter
+        addressing the current lazy layout: the GEMM operand is
+        bit-identical because gathering lanes and permuting axes commute
+        exactly.
+        """
+        batch_axis = self.layout.index(0)
+        selected = np.take(self.tensor, lanes, axis=batch_axis)
+        permuted = self._product(matrix, plan, selected, int(lanes.size))
+        back = tuple(plan.axes.index(axis) for axis in self.layout)
+        index = (slice(None),) * batch_axis + (lanes,)
+        self.tensor[index] = permuted.transpose(back)
+
+    def restore(self) -> np.ndarray:
+        """The canonical ``(count, dimension)`` amplitude matrix."""
+        view = self._to_layout(self.tensor, tuple(range(self.tensor.ndim)))
+        return view.reshape(self.count, -1)
 
 
 class BatchedMixedRadixState:
@@ -151,63 +295,19 @@ class BatchedMixedRadixState:
     # ------------------------------------------------------------------
     # evolution
     # ------------------------------------------------------------------
-    def _check_targets(self, operator: np.ndarray, units: tuple[int, ...]) -> int:
+    def _plan(self, operator: np.ndarray, units: tuple[int, ...] | list[int]) -> ApplyPlan:
+        units = tuple(int(u) for u in units)
         if len(set(units)) != len(units):
             raise ValueError("target units must be distinct")
         for unit in units:
             if not 0 <= unit < self.num_units:
                 raise ValueError(f"unit index {unit} out of range")
-        sub_dim = int(np.prod([self.dims[u] for u in units]))
-        if operator.shape != (sub_dim, sub_dim):
+        plan = build_plan(self.dims, units)
+        if operator.shape != (plan.sub_dim, plan.sub_dim):
             raise ValueError(
-                f"operator of shape {operator.shape} does not match target dimensions {sub_dim}"
+                f"operator of shape {operator.shape} does not match target dimensions {plan.sub_dim}"
             )
-        return sub_dim
-
-    def _transform(self, amps: np.ndarray, operator: np.ndarray,
-                   units: tuple[int, ...], sub_dim: int) -> np.ndarray:
-        """The scalar class's apply pipeline, batched over all lanes.
-
-        Two layouts, both bit-identical per lane to the scalar 2-D product
-        ``operator @ matrix`` with ``matrix`` of shape ``(sub_dim, rest)``:
-
-        * wide panel: the batch moves into the GEMM's *columns* — one
-          ``(sub_dim, count * rest)`` product instead of ``count`` BLAS
-          dispatches.  A lane's bits survive the widening only while every
-          lane's column span stays aligned to the BLAS kernel's register
-          blocking, so this layout is used only where that holds:
-          power-of-two ``sub_dim`` *and* ``rest`` (every mixed-radix
-          register of 2-/4-level units qualifies) with ``rest > 2``
-          (NumPy special-cases skinnier products), and only after
-          :func:`_wide_panels_bitstable` has confirmed once per process
-          that this BLAS build keeps columns panel-width independent.
-          The batch axis sits between the target and spectator axes so
-          the gather/scatter copies walk the source near-contiguously.
-          The golden-equivalence tests pin the guarantee continuously.
-        * otherwise: the batch stays on axis 0 and the stacked ``matmul``
-          issues the scalar path's exact per-lane call — trivially
-          bit-identical at per-lane dispatch cost.
-        """
-        count = amps.shape[0]
-        tensor = amps.reshape((count,) + self.dims)
-        others = [axis for axis in range(self.num_units) if axis not in units]
-        rest = self.dimension // sub_dim
-        aligned = (sub_dim & (sub_dim - 1)) == 0 and (rest & (rest - 1)) == 0
-        if rest > 2 and aligned and _wide_panels_bitstable():
-            axes = [unit + 1 for unit in units] + [0] + [axis + 1 for axis in others]
-            permuted = np.transpose(tensor, axes=axes)
-            permuted_shape = permuted.shape
-            matrix = permuted.reshape(sub_dim, -1)
-            matrix = operator @ matrix
-        else:
-            axes = [0] + [unit + 1 for unit in units] + [axis + 1 for axis in others]
-            permuted = np.transpose(tensor, axes=axes)
-            permuted_shape = permuted.shape
-            matrix = permuted.reshape(count, sub_dim, -1)
-            matrix = operator @ matrix
-        permuted = matrix.reshape(permuted_shape)
-        inverse_axes = np.argsort(axes)
-        return np.transpose(permuted, axes=inverse_axes).reshape(count, self.dimension)
+        return plan
 
     def apply(self, unitary: np.ndarray, units: tuple[int, ...] | list[int],
               lanes: np.ndarray | None = None) -> None:
@@ -217,12 +317,13 @@ class BatchedMixedRadixState:
         operation — the trajectory engine uses it to inject a sampled Pauli
         only on the shots whose error fired.
         """
-        units = tuple(int(u) for u in units)
-        sub_dim = self._check_targets(unitary, units)
+        plan = self._plan(unitary, units)
+        state = _LazyState(self.dims, self._amps)
         if lanes is None:
-            self._amps = self._transform(self._amps, unitary, units, sub_dim)
+            state.apply_all(unitary, plan)
         elif lanes.size:
-            self._amps[lanes] = self._transform(self._amps[lanes], unitary, units, sub_dim)
+            state.apply_lanes(unitary, plan, lanes)
+        self._amps = state.restore()
 
     def apply_kraus(self, operator: np.ndarray, units: tuple[int, ...] | list[int],
                     lanes: np.ndarray | None = None) -> np.ndarray:
@@ -233,17 +334,19 @@ class BatchedMixedRadixState:
         are left unchanged and report 0.0, so an impossible jump is a
         no-op, exactly like the scalar class.
         """
-        units = tuple(int(u) for u in units)
-        sub_dim = self._check_targets(operator, units)
+        plan = self._plan(operator, units)
         selected = self._amps if lanes is None else self._amps[lanes]
         if selected.shape[0] == 0:
             return np.empty(0, dtype=np.float64)
-        transformed = self._transform(selected, operator, units, sub_dim)
+        state = _LazyState(self.dims, selected)
+        state.apply_all(operator, plan)
+        transformed = state.restore()
+        del state  # free the GEMM product before the renormalisation temporaries
         # per-lane np.vdot: the scalar path's own reduction, for bit-equality
         weights = np.array(
             [float(np.vdot(row, row).real) for row in transformed], dtype=np.float64
         )
-        dead = weights < _DEAD_BRANCH_WEIGHT
+        dead = weights < DEAD_BRANCH_WEIGHT
         if dead.any():
             transformed[dead] = selected[dead]
         live = ~dead

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Kraus branches below this squared-norm weight are treated as impossible
+#: jumps and leave the state unchanged (the batched class shares it).
+DEAD_BRANCH_WEIGHT = 1e-18
+
 
 class MixedRadixState:
     """State vector over a register of qudits with per-unit dimensions.
@@ -114,7 +118,7 @@ class MixedRadixState:
         before = self._vector
         self.apply(operator, units)
         weight = float(np.vdot(self._vector, self._vector).real)
-        if weight < 1e-18:
+        if weight < DEAD_BRANCH_WEIGHT:
             self._vector = before
             return 0.0
         self._vector = self._vector / np.sqrt(weight)

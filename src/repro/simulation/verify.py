@@ -130,17 +130,6 @@ def embed_on_slots(
     return embedded, tuple(units)
 
 
-def _apply_on_slots(
-    state: MixedRadixState,
-    dims: tuple[int, ...],
-    matrix: np.ndarray,
-    slots: tuple[tuple[int, int], ...],
-) -> None:
-    """Apply a k-qubit logical matrix onto encoded slots of the register."""
-    embedded, units = embed_on_slots(dims, matrix, slots)
-    state.apply(embedded, units)
-
-
 def physical_op_unitary(
     op: PhysicalOp,
     dims: tuple[int, ...],

@@ -13,17 +13,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.noise.trajectory as trajectory_module
+import repro.simulation.batched as batched_module
+from repro.backends.trajectory import TrajectoryBackend
 from repro.noise import NoiseSpec, TrajectoryEngine
 from repro.noise.kernel import (
     EventKernel,
     FusedRun,
     KernelSchedule,
+    NoiseSite,
     build_event_kernel,
     build_plan,
     compile_schedule,
 )
 from repro.noise.trajectory import FINAL_VECTORS_MAX_SHOTS
 from repro.runner import SweepPoint
+from repro.simulation import BatchedMixedRadixState, MixedRadixState
 from repro.simulation.verify import VerificationError
 
 TABLE1 = NoiseSpec.from_preset("table1")
@@ -204,6 +208,70 @@ class TestKernelCompilation:
         gate, idle = kernel.count_block(draws)
         assert gate.tolist() == [2, 0]
         assert idle.tolist() == [1, 0]
+
+
+class TestStackedFallback:
+    """A BLAS build that fails the wide-panel probe runs every GEMM stacked.
+
+    Power-of-two registers take the wide panel wherever the probe passes,
+    so these tests force the probe's answer to False and rebuild every
+    plan from scratch to run the configuration such a build would run.
+    """
+
+    @pytest.fixture
+    def stacked_only(self, monkeypatch):
+        build_plan.cache_clear()
+        monkeypatch.setattr(batched_module, "_WIDE_PANEL_OK", False)
+        yield
+        build_plan.cache_clear()
+
+    @staticmethod
+    def _plans(schedule):
+        for segment in schedule.segments:
+            if not isinstance(segment, FusedRun):
+                continue
+            for item in segment.items:
+                if isinstance(item, NoiseSite):
+                    yield from (plan for entry in item.paulis for _, plan in entry)
+                else:
+                    yield item.plan
+
+    @pytest.mark.parametrize("bench,size", [("bv", 6), ("teleport", 3)])
+    def test_fused_matches_reference_without_wide_panels(self, stacked_only, bench, size):
+        # a fresh backend compiles afresh: the process's shared backend
+        # memoises artifacts that may carry schedules built with wide plans
+        compiled = TrajectoryBackend().compile_point(SweepPoint(
+            bench, size, "eqm", compiler_kwargs=(("merge_single_qubit_gates", False),)
+        )).compiled
+        assert getattr(compiled, "_schedule_memo", None) is None
+        engine = TrajectoryEngine(compiled, TABLE1, track_state=True)
+        assert set(engine.dims) <= {2, 4}
+        plans = list(self._plans(engine._schedule))
+        assert any(plan.rest > 2 for plan in plans), "no plan would go wide"
+        assert not any(plan.wide for plan in plans)
+        for base_shot in (0, 40):
+            assert engine.run(40, seed=5, base_shot=base_shot) == engine.run_reference(
+                40, seed=5, base_shot=base_shot
+            )
+
+    def test_batched_lanes_match_scalar_without_wide_panels(self, stacked_only):
+        dims = (2, 4, 2, 2)
+        rng = np.random.default_rng(11)
+        batched = BatchedMixedRadixState(dims, 6)
+        scalars = [MixedRadixState(dims) for _ in range(6)]
+        for step in range(8):
+            units = (step % 4,) if step % 2 else (step % 4, (step + 1) % 4)
+            sub = int(np.prod([dims[unit] for unit in units]))
+            assert not build_plan(dims, units).wide
+            operator = np.linalg.qr(
+                rng.standard_normal((sub, sub)) + 1j * rng.standard_normal((sub, sub))
+            )[0]
+            lanes = np.arange(6) if step % 3 else np.array([1, 4])
+            batched.apply(operator, units, lanes=lanes)
+            for lane in lanes:
+                scalars[lane].apply(operator, units)
+        for lane, scalar in zip(batched.vectors(), scalars):
+            assert (lane == scalar.vector).all()
 
 
 class TestFinalVectorStreaming:

@@ -10,7 +10,10 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.runner import SweepPoint, execute_point, point_key
+from repro.noise.model import NoiseSpec
+from repro.noise.points import shot_plan
+from repro.runner import SweepPlan, SweepPoint, execute_point, point_key
+from repro.service import SweepService
 from repro.store import (
     ArtifactStore,
     MANIFEST_SCHEMA,
@@ -367,6 +370,32 @@ class TestStoredResults:
         result = execute_point(point)
         data = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
         assert _publish(store, point, result).name == hashlib.sha256(data).hexdigest()
+
+    def test_blob_bytes_do_not_depend_on_engine_caches(self, tmp_path):
+        # Engines over a compiled circuit attach error-site, residency and
+        # kernel-schedule caches to it; a job that simulates a point before
+        # publishing it must still store the same bytes as a bare compile.
+        point = SweepPoint(
+            "bv", 4, "eqm", compiler_kwargs=(("merge_single_qubit_gates", False),)
+        )
+        noise = NoiseSpec.from_preset("table1")
+        jobs = {
+            "alone": SweepPlan((point,)),
+            "event": SweepPlan((point,)) + shot_plan(point, noise, 64, chunk_size=32),
+            "tracked": SweepPlan((point,)) + shot_plan(
+                point, noise, 64, chunk_size=32, track_state=True
+            ),
+        }
+        blobs = {}
+        for name, plan in jobs.items():
+            store = ArtifactStore(tmp_path / name)
+            with SweepService(store) as service:
+                service.results(service.submit(plan), timeout=120)
+            blobs[name] = store.get_ref(point_key(point))["blob"]
+            compiled = store.get_object(point_key(point)).compiled
+            assert not hasattr(compiled, "_schedule_memo"), name
+        assert blobs["event"] == blobs["alone"]
+        assert blobs["tracked"] == blobs["alone"]
 
     def test_hit_and_miss_counts_are_exact_across_threads(self, tmp_path):
         store = ArtifactStore(tmp_path)

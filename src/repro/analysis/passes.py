@@ -32,12 +32,12 @@ invariants the compiler is supposed to maintain:
     ASAP rule — including the makespan.
 
 ``kernel``
-    Kernel-schedule conformance.  Any cached
-    :class:`~repro.noise.kernel.KernelSchedule` (and a structurally
-    rebuilt one) must partition the op stream exactly: every dynamic op a
-    bare segment, every fused item anchored to a non-dynamic op in
-    monotonic order, noise-site Pauli tables closed and apply-plans
-    consistent with the register dims.
+    Kernel-schedule conformance.  The
+    :class:`~repro.noise.kernel.KernelSchedule` a trajectory engine would
+    build must partition the op stream exactly: every dynamic op a bare
+    segment, every fused item anchored to a non-dynamic op in monotonic
+    order, noise-site Pauli tables closed and apply-plans consistent with
+    the register dims.
 
 What is provable here is *structural* legality; unitary equivalence to
 the source circuit still requires replay
@@ -404,21 +404,20 @@ def _placeholder_unitaries(compiled: CompiledCircuit, dims: tuple[int, ...]) -> 
 
 
 def _check_one_kernel(schedule, compiled: CompiledCircuit,
-                      dims: tuple[int, ...], out: FindingCollector,
-                      label: str) -> None:
+                      dims: tuple[int, ...], out: FindingCollector) -> None:
     """Check one :class:`KernelSchedule` against the op stream."""
     from repro.noise.kernel import FusedRun, NoiseSite, UnitaryStep, build_plan
 
     ops = compiled.ops
     if schedule.num_ops != len(ops):
         out.error(
-            f"{label}: kernel schedule covers {schedule.num_ops} ops but the "
+            f"kernel schedule covers {schedule.num_ops} ops but the "
             f"artifact has {len(ops)}"
         )
         return
     if tuple(schedule.dims) != tuple(dims):
         out.error(
-            f"{label}: kernel schedule dims {tuple(schedule.dims)} disagree "
+            f"kernel schedule dims {tuple(schedule.dims)} disagree "
             f"with register dims {tuple(dims)}"
         )
         return
@@ -429,11 +428,11 @@ def _check_one_kernel(schedule, compiled: CompiledCircuit,
         """Require partition items to reference ops in increasing order."""
         nonlocal last_index
         if not (0 <= index < len(ops)):
-            out.error(f"{label}: {what} references op {index} outside the "
+            out.error(f"{what} references op {index} outside the "
                       f"stream", op_index=None)
         elif index < last_index:
             out.error(
-                f"{label}: {what} for op {index} appears after op "
+                f"{what} for op {index} appears after op "
                 f"{last_index} (non-monotonic partition)", op_index=index,
             )
         last_index = max(last_index, index)
@@ -447,26 +446,26 @@ def _check_one_kernel(schedule, compiled: CompiledCircuit,
                 op = ops[item.op_index]
                 if op.is_dynamic:
                     out.error(
-                        f"{label}: dynamic op {op.gate} was fused into a run "
+                        f"dynamic op {op.gate} was fused into a run "
                         "(dynamic ops must be bare segments)",
                         op_index=item.op_index,
                     )
                 if isinstance(item, NoiseSite):
                     if tuple(item.slots) != tuple(op.slots):
                         out.error(
-                            f"{label}: noise site slots {item.slots} disagree "
+                            f"noise site slots {item.slots} disagree "
                             f"with op slots {op.slots}", op_index=item.op_index,
                         )
                     if item.bound != 4 ** len(item.slots):
                         out.error(
-                            f"{label}: noise site Pauli bound {item.bound} != "
+                            f"noise site Pauli bound {item.bound} != "
                             f"4**{len(item.slots)}", op_index=item.op_index,
                         )
                     if len(item.paulis) != len(item.slots) or any(
                         len(entry) != 3 for entry in item.paulis
                     ):
                         out.error(
-                            f"{label}: noise site Pauli table is not closed "
+                            "noise site Pauli table is not closed "
                             "(expected 3 embedded Paulis per slot)",
                             op_index=item.op_index,
                         )
@@ -475,26 +474,26 @@ def _check_one_kernel(schedule, compiled: CompiledCircuit,
                         for matrix, plan in entry:
                             if plan != build_plan(dims, plan.units):
                                 out.error(
-                                    f"{label}: noise-site apply-plan for unit "
+                                    f"noise-site apply-plan for unit "
                                     f"{unit} does not re-derive from the "
                                     "register dims", op_index=item.op_index,
                                 )
                             if unit not in plan.units:
                                 out.error(
-                                    f"{label}: embedded Pauli for slot unit "
+                                    f"embedded Pauli for slot unit "
                                     f"{unit} targets units {plan.units}",
                                     op_index=item.op_index,
                                 )
                 elif isinstance(item, UnitaryStep):
                     if item.plan != build_plan(dims, item.plan.units):
                         out.error(
-                            f"{label}: unitary apply-plan does not re-derive "
+                            "unitary apply-plan does not re-derive "
                             "from the register dims", op_index=item.op_index,
                         )
             if segment.unitaries != tuple(
                 i for i in segment.items if type(i) is UnitaryStep
             ):
-                out.error(f"{label}: a fused run's unitary shortcut list does "
+                out.error("a fused run's unitary shortcut list does "
                           "not match its items")
         else:
             index = int(segment)
@@ -502,18 +501,18 @@ def _check_one_kernel(schedule, compiled: CompiledCircuit,
             if 0 <= index < len(ops):
                 if not ops[index].is_dynamic:
                     out.error(
-                        f"{label}: op {ops[index].gate} is a bare segment but "
+                        f"op {ops[index].gate} is a bare segment but "
                         "is not dynamic", op_index=index,
                     )
                 if index in seen_dynamic:
-                    out.error(f"{label}: dynamic op {index} partitioned twice",
+                    out.error(f"dynamic op {index} partitioned twice",
                               op_index=index)
                 seen_dynamic.add(index)
     expected_dynamic = {i for i, op in enumerate(ops) if op.is_dynamic}
     missing = expected_dynamic - seen_dynamic
     if missing:
         out.error(
-            f"{label}: dynamic ops {tuple(sorted(missing))} are missing from "
+            f"dynamic ops {tuple(sorted(missing))} are missing from "
             "the kernel partition", op_index=min(missing),
         )
 
@@ -521,30 +520,18 @@ def _check_one_kernel(schedule, compiled: CompiledCircuit,
 def check_kernel(compiled: CompiledCircuit) -> list[Finding]:
     """Verify kernel-schedule conformance with the op stream.
 
-    Checks every kernel program cached on the artifact by a trajectory
-    engine, then structurally rebuilds one (with identity stand-in
-    unitaries) so uncached artifacts are covered too.  The build goes
-    through :func:`repro.noise.kernel._build_schedule` directly — never
-    ``compile_schedule`` — so the artifact's schedule memo is not
-    polluted with placeholder matrices.
+    Builds the schedule a trajectory engine would build, through
+    :func:`repro.noise.kernel.build_schedule` with identity stand-in
+    unitaries, and checks it against the op stream.
     """
-    from repro.noise.kernel import KernelSchedule, _build_schedule
+    from repro.noise.kernel import EmbeddingTable, build_schedule
 
     out = FindingCollector("kernel")
     dims = register_dims(compiled)
-    memo = getattr(compiled, "_schedule_memo", None) or {}
-    for key, schedule in memo.items():
-        if (
-            isinstance(key, tuple) and key and key[0] == "trajectory-kernel"
-            and isinstance(schedule, KernelSchedule)
-        ):
-            cached_dims = tuple(key[1]) if len(key) > 1 else dims
-            _check_one_kernel(schedule, compiled, cached_dims, out,
-                              label=f"cached kernel {cached_dims}")
-    rebuilt = _build_schedule(
-        compiled, dims, _placeholder_unitaries(compiled, dims)
+    schedule = build_schedule(
+        compiled, dims, _placeholder_unitaries(compiled, dims), EmbeddingTable(dims)
     )
-    _check_one_kernel(rebuilt, compiled, dims, out, label="rebuilt kernel")
+    _check_one_kernel(schedule, compiled, dims, out)
     return out.findings
 
 

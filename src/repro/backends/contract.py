@@ -131,8 +131,12 @@ class ExecutionBackend:
     #: default.  Pinning never changes content keys.
     reads_store: ClassVar[bool] = False
 
-    #: Bound on the per-process compiled-handle memo (mirrors the noise
-    #: subsystem's compile memo).
+    #: Bound on the per-process compiled-handle memo, the process's only
+    #: compile memo (shot chunks reach their artifact through it).  Kept
+    #: at 16: at 64 the Figure 7 sweep's peak RSS grew from 99 to 107 MB,
+    #: and a plan that runs each cell's shot chunks right after its
+    #: compile (as ``validate_eps`` does) needs one entry per cell in
+    #: flight.
     _MEMO_LIMIT = 16
 
     def __init__(self) -> None:

@@ -5,8 +5,8 @@ pipeline (:class:`~repro.compiler.pipeline.QompressCompiler` + EPS report)
 and the vectorised :class:`~repro.noise.trajectory.TrajectoryEngine` — so
 the golden bit-equality guarantees (``run`` vs ``run_reference``, serial vs
 parallel, cached vs fresh) are untouched.  Shot chunks reuse the noise
-subsystem's per-process engine memo, so priming via
-:func:`repro.noise.points.prime_compiled` keeps working.
+subsystem's per-process engine memo, which takes its artifacts from this
+backend's compile memo.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class TrajectoryBackend(ExecutionBackend):
 
         Overrides the base implementation to share
         :func:`repro.noise.points._engine_for` — a thousand chunks of one
-        circuit build the engine (op probabilities, idle channels) once per
-        process, and callers that already compiled the point can prime it.
+        circuit build the engine (op probabilities, idle channels, kernel
+        schedule) once per process.
         """
         from repro.noise.points import _engine_for
 

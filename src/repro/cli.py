@@ -39,7 +39,7 @@ from pathlib import Path
 from repro.backends import BackendError, list_backends
 from repro.circuits.qasm import QasmError
 from repro.compression import _STRATEGIES
-from repro.noise import NOISE_PRESETS, NoiseSpec, prime_compiled, simulate_point
+from repro.noise import NOISE_PRESETS, NoiseSpec, simulate_point
 from repro.runner import (
     DeviceSpec,
     SweepPlan,
@@ -519,7 +519,6 @@ def _run_simulate(args: argparse.Namespace) -> int:
     store = _runner_store_from_args(args)
     noise = NoiseSpec.from_preset(args.noise)
     compiled_result = execute_plan(SweepPlan((point,)), store=store)[0]
-    prime_compiled(point, compiled_result.compiled)
     model = noise.build(compiled_result.compiled.device)
     analytic = model.analytic_total_eps(compiled_result.compiled)
     try:

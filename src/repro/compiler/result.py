@@ -5,34 +5,9 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.arch.device import Device
 from repro.gates.library import gate_spec
 from repro.gates.styles import GateStyle
-
-
-@dataclass(frozen=True)
-class ErrorSiteSchedule:
-    """Flat per-op arrays describing a compiled circuit's error sites.
-
-    Pre-extracted once per :class:`CompiledCircuit` (and cached there) so
-    noise models can turn the op stream into channel-strength vectors
-    without touching the :class:`PhysicalOp` objects again — the
-    trajectory engine's chunk-batched path consumes these arrays directly.
-    """
-
-    #: Physical gate name of each op, in schedule order.
-    gates: tuple[str, ...]
-    #: ``1 - fidelity`` per op — the fallback error probability for gates
-    #: missing from a model's calibration table.
-    fallback_error: np.ndarray
-    #: Sorted ``(unit, unit)`` key per two-unit op, ``None`` elsewhere;
-    #: indexes the per-edge error multipliers of heterogeneous models.
-    edge_keys: tuple[tuple[int, int] | None, ...]
-
-    def __len__(self) -> int:
-        return len(self.gates)
 
 
 @dataclass
@@ -98,9 +73,15 @@ class PhysicalOp:
         return self.gate in ("measure_mid", "reset") or self.condition is not None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CompiledCircuit:
-    """The output of the Qompress pipeline for one circuit on one device."""
+    """The output of the Qompress pipeline for one circuit on one device.
+
+    Frozen plain data: nothing is attached after compile, so the artifact
+    pickles to the same bytes whatever simulated it first.  Everything
+    derived from it (kernel schedules, embedded unitaries, error sites)
+    belongs to the engine that derives it.
+    """
 
     #: Name of the source circuit.
     circuit_name: str
@@ -158,60 +139,6 @@ class CompiledCircuit:
         return sum(1 for op in self.ops if op.is_communication)
 
     # ------------------------------------------------------------------
-    # flat schedules (cached; compiled circuits are immutable post-compile)
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle the fields alone, without the process-local caches below.
-
-        Engines attach those caches before a result is published, so
-        pickling them would give one content key different blob bytes
-        depending on what else ran in the process.
-        """
-        return {
-            name: value for name, value in self.__dict__.items()
-            if name not in ("_error_site_cache", "_residency_cache", "_schedule_memo")
-        }
-
-    def error_site_schedule(self) -> ErrorSiteSchedule:
-        """Flat per-op error-site arrays, computed once and cached.
-
-        The cache assumes ``ops`` is not mutated after compilation — true
-        for every pipeline output; callers constructing circuits by hand
-        must finish editing before querying.
-        """
-        cached = getattr(self, "_error_site_cache", None)
-        if cached is None:
-            cached = ErrorSiteSchedule(
-                gates=tuple(op.gate for op in self.ops),
-                fallback_error=np.array([1.0 - op.fidelity for op in self.ops]),
-                edge_keys=tuple(
-                    tuple(sorted(op.units)) if len(op.units) == 2 else None
-                    for op in self.ops
-                ),
-            )
-            self._error_site_cache = cached
-        return cached
-
-    def cached_schedule(self, key: tuple, builder):
-        """Build-once memo for derived schedules, keyed on the artifact.
-
-        Trajectory kernel programs (:mod:`repro.noise.kernel`) and other
-        expensive derivations hang off the compiled circuit so every
-        engine over one artifact shares one build.  ``key`` must encode
-        everything the derivation depends on besides the circuit itself
-        (e.g. the register dims); the same immutability caveat as
-        :meth:`error_site_schedule` applies, and callers must treat the
-        returned object as read-only.
-        """
-        memo = getattr(self, "_schedule_memo", None)
-        if memo is None:
-            memo = {}
-            self._schedule_memo = memo
-        if key not in memo:
-            memo[key] = builder()
-        return memo[key]
-
-    # ------------------------------------------------------------------
     # residency accounting (used by the coherence EPS metric)
     # ------------------------------------------------------------------
     def residency_segments(self) -> dict[int, list[tuple[float, float, int]]]:
@@ -223,14 +150,7 @@ class CompiledCircuit:
         spans per qubit always cover ``[0, makespan]``, matching the paper's
         worst-case assumption that every qubit is live for the entire
         circuit.  Zero-length spans are dropped.
-
-        Computed once and cached (treat the returned structure as
-        read-only); both EPS metrics and every trajectory-engine
-        construction query it.
         """
-        cached = getattr(self, "_residency_cache", None)
-        if cached is not None:
-            return cached
         makespan = self.makespan_ns
         results: dict[int, list[tuple[float, float, int]]] = {}
         transitions: dict[int, list[tuple[float, int]]] = defaultdict(list)
@@ -250,7 +170,6 @@ class CompiledCircuit:
             if makespan > current_time:
                 segments.append((current_time, makespan, current_unit))
             results[logical] = segments
-        self._residency_cache = results
         return results
 
     def qubit_mode_times(self) -> dict[int, tuple[float, float]]:

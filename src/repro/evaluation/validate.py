@@ -12,9 +12,10 @@ or the simulated estimate lands within ``rel_tolerance`` (default 10%)
 relative of it.
 
 Everything — compiles and shot chunks alike — is dispatched as one
-:class:`~repro.runner.SweepPlan` per stage through the shared executor, so
-``workers`` parallelises across every cell's shot batches at once and a
-``store`` reuses both compiled circuits and simulated chunks across runs.
+:class:`~repro.runner.SweepPlan` through the shared executor, each cell's
+compile point followed by its shot chunks, so ``workers`` parallelises
+across every cell's shot batches at once and a ``store`` reuses both
+compiled circuits and simulated chunks across runs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.noise.model import NoiseSpec
-from repro.noise.points import DEFAULT_CHUNK_SIZE, prime_compiled, shot_plan
+from repro.noise.points import DEFAULT_CHUNK_SIZE, shot_plan
 from repro.noise.result import NoisyResult
 from repro.runner import DeviceSpec, SweepPlan, execute_plan
 from repro.store import ArtifactStore
@@ -198,32 +199,33 @@ def validate_eps(
         benchmarks, sizes, strategies, device=DeviceSpec(kind=device_kind), seed=seed,
         compiler_kwargs=compiler_kwargs, backend=backend,
     )
-    compiled_results = execute_plan(compile_plan, workers=workers, store=store)
-    for point, result in zip(compile_plan, compiled_results):
-        prime_compiled(point, result.compiled)
-
-    # one combined shot plan across every cell: workers fan out over the
-    # whole product of (cell x chunk), not one cell at a time
+    # one plan across every cell: each compile point followed by its own
+    # shot chunks, so a cell's chunks find its artifact still in the
+    # backend's bounded compile memo, and workers fan out over the whole
+    # product of (cell x chunk), not one cell at a time
     cell_plans = [
-        shot_plan(point, noise, shots, seed=seed, chunk_size=chunk_size,
-                  track_state=track_state)
+        SweepPlan((point,)) + shot_plan(point, noise, shots, seed=seed,
+                                        chunk_size=chunk_size, track_state=track_state)
         for point in compile_plan
     ]
-    combined = SweepPlan(tuple(p for plan in cell_plans for p in plan))
-    chunks = execute_plan(combined, workers=workers, store=store)
+    results = execute_plan(
+        SweepPlan(tuple(p for plan in cell_plans for p in plan)),
+        workers=workers, store=store,
+    )
 
     rows: list[ValidationRow] = []
     offset = 0
-    for point, compiled_result, cell_plan in zip(compile_plan, compiled_results, cell_plans):
-        cell_chunks = chunks[offset:offset + len(cell_plan)]
+    for point, cell_plan in zip(compile_plan, cell_plans):
+        compiled = results[offset].compiled
+        cell_chunks = results[offset + 1:offset + len(cell_plan)]
         offset += len(cell_plan)
-        model = noise.build(compiled_result.compiled.device)
+        model = noise.build(compiled.device)
         rows.append(
             ValidationRow(
                 benchmark=point.benchmark,
                 num_qubits=point.num_qubits,
                 strategy=point.strategy,
-                analytic_eps=model.analytic_total_eps(compiled_result.compiled),
+                analytic_eps=model.analytic_total_eps(compiled),
                 result=NoisyResult.from_chunks(cell_chunks, seed),
                 rel_tolerance=rel_tolerance,
             )

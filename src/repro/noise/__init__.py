@@ -64,7 +64,6 @@ from repro.noise.density import (
 from repro.noise.points import (
     DEFAULT_CHUNK_SIZE,
     NoisePoint,
-    prime_compiled,
     shot_plan,
     simulate_point,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "trajectory_mean_density",
     "DEFAULT_CHUNK_SIZE",
     "NoisePoint",
-    "prime_compiled",
     "shot_plan",
     "simulate_point",
 ]

@@ -18,7 +18,7 @@ re-exported here) and the lazy layout they execute in belong to
   This halves the memory traffic of the tracked path, which is
   memory-bound at register dimension >= 512.
 * :class:`EmbeddingTable` embeds the single-slot operators (Paulis,
-  measurement projectors, damping Kraus operators) once per register, for
+  measurement projectors, damping Kraus operators) once per engine, for
   the scalar reference, the engine's canonical-layout op step and the
   schedule's noise sites alike.
 * :func:`inject_paulis` applies sampled Pauli strings, for a fused run's
@@ -36,12 +36,11 @@ bit-identical memory and produces bit-identical output.  The golden tests
 assert fused chunks ``==`` the retained scalar ``run_reference`` across
 presets x strategies x seeds x block splits.
 
-Kernel schedules are cached on the compiled artifact
-(:meth:`~repro.compiler.result.CompiledCircuit.cached_schedule`), keyed
-by register dims — every engine over one artifact (one per noise model)
-shares one compiled program.  Kernel programs never enter point content
-keys or stored blobs: they change how results are computed, not what
-they are.
+Each :class:`~repro.noise.trajectory.TrajectoryEngine` builds its own
+schedule (:func:`build_schedule`) from its op unitaries and its one
+:class:`EmbeddingTable`; nothing is cached on the compiled artifact.
+Kernel programs never enter point content keys or stored blobs: they
+change how results are computed, not what they are.
 """
 
 from __future__ import annotations
@@ -231,22 +230,16 @@ def inject_paulis(apply, paulis, fired: np.ndarray, strings: np.ndarray) -> None
                 apply(*paulis[position][code - 1], group)
 
 
-def compile_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSchedule:
-    """Compile (and cache on the artifact) ``compiled``'s kernel schedule.
+def build_schedule(
+    compiled, dims: tuple[int, ...], op_unitaries, table: EmbeddingTable
+) -> KernelSchedule:
+    """Compile ``compiled``'s op stream into its :class:`KernelSchedule`.
 
     ``op_unitaries`` is the engine's embedded-unitary list (one entry per
-    op, ``None`` for measurements) — deterministic per ``(compiled, dims)``,
-    which is why caching by dims alone is sound.
+    op, ``None`` for measurements) and ``table`` its embedding table, so
+    the schedule's steps and noise sites apply the very arrays the
+    engine's bare op step does.
     """
-    dims = tuple(int(d) for d in dims)
-    return compiled.cached_schedule(
-        ("trajectory-kernel", dims),
-        lambda: _build_schedule(compiled, dims, op_unitaries),
-    )
-
-
-def _build_schedule(compiled, dims: tuple[int, ...], op_unitaries) -> KernelSchedule:
-    table = EmbeddingTable(dims)
     segments: list[FusedRun | int] = []
     items: list[UnitaryStep | NoiseSite] = []
 

@@ -220,29 +220,21 @@ class NoiseModel:
         """Depolarizing-event probability of every scheduled op, as one array.
 
         The vectorised trajectory engine consumes this flat export instead
-        of calling :meth:`op_error_probability` per op; entries are computed
-        with the identical arithmetic (memoised per distinct error site),
+        of calling :meth:`op_error_probability` per op.  Each entry is that
+        method's value, memoised per calibrated ``(gate, edge)`` error site,
         so the two views are bit-equal.
         """
-        sites = compiled.error_site_schedule()
-        memo: dict[tuple[str, tuple[int, int] | None], float] = {}
-        probabilities = np.empty(len(sites), dtype=np.float64)
-        for index, (gate, edge_key) in enumerate(zip(sites.gates, sites.edge_keys)):
-            base = self.gate_error.get(gate)
-            if base is None:
+        memo: dict[tuple[str, tuple[int, ...] | None], float] = {}
+        probabilities = np.empty(len(compiled.ops), dtype=np.float64)
+        for index, op in enumerate(compiled.ops):
+            if op.gate not in self.gate_error:
                 # uncalibrated gate: per-op fidelity fallback, not memoisable
-                base = float(sites.fallback_error[index])
-                if edge_key is not None:
-                    base *= self.edge_error_factor.get(edge_key, 1.0)
-                probabilities[index] = min(1.0, max(0.0, base))
+                probabilities[index] = self.op_error_probability(op)
                 continue
-            key = (gate, edge_key)
+            key = (op.gate, tuple(sorted(op.units)) if len(op.units) == 2 else None)
             value = memo.get(key)
             if value is None:
-                if edge_key is not None:
-                    base *= self.edge_error_factor.get(edge_key, 1.0)
-                value = min(1.0, max(0.0, base))
-                memo[key] = value
+                value = memo[key] = self.op_error_probability(op)
             probabilities[index] = value
         return probabilities
 

@@ -9,9 +9,11 @@ results merge into a :class:`~repro.noise.result.NoisyResult` that is
 bit-identical whatever the worker count or chunk size.
 
 The compile request itself is carried declaratively (a
-:class:`~repro.runner.SweepPoint`); workers rebuild the compiled circuit on
-first use and memoise it per process, so a thousand chunks of the same
-circuit compile it once per worker.
+:class:`~repro.runner.SweepPoint`); workers get the compiled circuit from
+the backend's per-process compile memo
+(:meth:`~repro.backends.ExecutionBackend.compile_point`) and build one
+engine per ``(point, noise, track_state)`` (:func:`_engine_for`), so a
+thousand chunks of the same circuit compile it once per worker.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 
-from repro.compiler.result import CompiledCircuit
 from repro.noise.model import NoiseSpec
 from repro.noise.result import NoisyResult
 from repro.noise.trajectory import TrajectoryEngine
@@ -36,32 +37,15 @@ from repro.store import ArtifactStore
 DEFAULT_CHUNK_SIZE = 4096
 
 
-#: Process-local memo of compiled circuits for shot batches (bounded).
-_COMPILED_MEMO: dict[SweepPoint, CompiledCircuit] = {}
-_COMPILED_MEMO_LIMIT = 16
-
-
-def prime_compiled(point: SweepPoint, compiled: CompiledCircuit) -> None:
-    """Seed the compile memo so callers that already compiled a point do
-    not pay for a second compile when its shot chunks execute in-process."""
-    if len(_COMPILED_MEMO) >= _COMPILED_MEMO_LIMIT:
-        _COMPILED_MEMO.clear()
-    _COMPILED_MEMO[point] = compiled
-
-
-def _compiled_for(point: SweepPoint) -> CompiledCircuit:
-    """Process-local memo of compiled circuits for shot batches."""
-    compiled = _COMPILED_MEMO.get(point)
-    if compiled is None:
-        compiled = point.execute().compiled
-        prime_compiled(point, compiled)
-    return compiled
-
-
 @functools.lru_cache(maxsize=16)
 def _engine_for(point: SweepPoint, noise: NoiseSpec, track_state: bool) -> TrajectoryEngine:
-    """Process-local memo of trajectory engines (op probabilities etc.)."""
-    return TrajectoryEngine(_compiled_for(point), noise, track_state=track_state)
+    """Process-local memo of trajectory engines, and of everything each
+    one derives from its artifact (op unitaries, kernel schedule, error
+    sites).  The artifact comes from the backend's compile memo."""
+    from repro.backends import get_backend
+
+    compiled = get_backend(point.backend).compile_point(point).compiled
+    return TrajectoryEngine(compiled, noise, track_state=track_state)
 
 
 @dataclass(frozen=True)

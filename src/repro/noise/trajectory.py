@@ -60,7 +60,7 @@ from repro.noise.kernel import (
     EmbeddingTable,
     KernelSchedule,
     build_event_kernel,
-    compile_schedule,
+    build_schedule,
     inject_paulis,
 )
 from repro.noise.model import NoiseModel, NoiseSpec, resolve_model
@@ -165,10 +165,10 @@ class TrajectoryEngine:
         if self.track_state:
             self._prepare_replay()
             if self.use_kernel:
-                self._schedule = compile_schedule(compiled, self.dims, self._op_unitaries)
+                self._schedule = build_schedule(
+                    compiled, self.dims, self._op_unitaries, self._embeds
+                )
             else:
-                # per-engine and never memoised on the artifact: the
-                # conformance pass and other engines read that memo
                 num_ops = len(compiled.ops)
                 self._schedule = KernelSchedule(self.dims, tuple(range(num_ops)), num_ops)
 
@@ -182,14 +182,9 @@ class TrajectoryEngine:
                 "state tracking needs the lowered source circuit; "
                 "this compiled circuit does not carry one"
             )
-        # deterministic per (compiled, dims), so every engine over this
-        # artifact (one per noise model) shares one embedded-unitary list
-        self._op_unitaries = self.compiled.cached_schedule(
-            ("op-unitaries", self.dims),
-            lambda: [
-                physical_op_unitary(op, self.dims, lowered) for op in self.compiled.ops
-            ],
-        )
+        self._op_unitaries = [
+            physical_op_unitary(op, self.dims, lowered) for op in self.compiled.ops
+        ]
         if self.is_dynamic:
             # Dynamic programs branch at runtime: there is no single ideal
             # final vector.  Each shot instead evolves a parallel noise-free

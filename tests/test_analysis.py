@@ -123,26 +123,31 @@ class TestCorruptFixtures:
         assert any("busy until" in f.message for f in report.errors)
 
     def test_corrupt_cached_kernel_is_caught_by_kernel_pass(self):
-        from repro.analysis.passes import _placeholder_unitaries
-        from repro.noise.kernel import _build_schedule
+        from repro.analysis.passes import (
+            FindingCollector,
+            _check_one_kernel,
+            _placeholder_unitaries,
+        )
+        from repro.noise.kernel import EmbeddingTable, build_schedule
 
         compiled = compile_benchmark("bv", 3, strategy="qubit_only")
         dims = register_dims(compiled)
-        schedule = _build_schedule(
-            compiled, dims, _placeholder_unitaries(compiled, dims)
+        schedule = build_schedule(
+            compiled, dims, _placeholder_unitaries(compiled, dims), EmbeddingTable(dims)
         )
-        # A genuine cached schedule verifies clean...
-        compiled._schedule_memo = {("trajectory-kernel", dims): schedule}
+        # A genuine schedule verifies clean...
+        clean = FindingCollector("kernel")
+        _check_one_kernel(schedule, compiled, dims, clean)
+        assert clean.findings == []
         assert verify_compiled(compiled).ok
         # ...a mis-sized one is an error from the kernel pass alone.
-        compiled._schedule_memo = {
-            ("trajectory-kernel", dims): dataclasses.replace(
-                schedule, num_ops=schedule.num_ops + 1
-            )
-        }
-        report = verify_compiled(compiled)
-        assert not report.ok
-        assert error_passes(report) == {"kernel"}
+        corrupt = FindingCollector("kernel")
+        _check_one_kernel(
+            dataclasses.replace(schedule, num_ops=schedule.num_ops + 1),
+            compiled, dims, corrupt,
+        )
+        assert corrupt.findings
+        assert {(f.severity, f.pass_name) for f in corrupt.findings} == {("error", "kernel")}
 
 
 class TestCleanPrograms:

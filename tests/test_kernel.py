@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.noise.kernel as kernel_module
 import repro.noise.trajectory as trajectory_module
 import repro.simulation.batched as batched_module
 from repro.backends.trajectory import TrajectoryBackend
@@ -23,7 +24,6 @@ from repro.noise.kernel import (
     NoiseSite,
     build_event_kernel,
     build_plan,
-    compile_schedule,
 )
 from repro.noise.trajectory import FINAL_VECTORS_MAX_SHOTS
 from repro.runner import SweepPoint
@@ -146,18 +146,35 @@ class TestFusedGoldenEquivalence:
 
 
 class TestKernelCompilation:
-    """The compiled program's structure and artifact-level caching."""
+    """The compiled program's structure, built by each engine for itself."""
 
-    def test_schedule_cached_on_the_artifact(self):
-        compiled = _pooled_compiled(0)
-        one = _pooled_engine(0, "table1")
-        two = TrajectoryEngine(compiled, NoiseSpec.from_preset("pessimistic"),
-                               track_state=True)
-        assert one._schedule is not None
-        assert one._schedule is two._schedule
-        assert one._op_unitaries is two._op_unitaries
-        again = compile_schedule(compiled, one.dims, one._op_unitaries)
-        assert again is one._schedule
+    def test_one_embedding_table_per_engine(self, monkeypatch):
+        # the schedule's noise sites and the bare op step apply the very
+        # arrays of the engine's one table
+        built = []
+        original = kernel_module.EmbeddingTable.__init__
+
+        def counting(table, dims):
+            built.append(table)
+            original(table, dims)
+
+        monkeypatch.setattr(kernel_module.EmbeddingTable, "__init__", counting)
+        compiled = TrajectoryBackend().compile_point(SweepPoint(
+            "bv", 4, "eqm", compiler_kwargs=(("merge_single_qubit_gates", False),)
+        )).compiled
+        engine = TrajectoryEngine(compiled, TABLE1, track_state=True)
+        assert built == [engine._embeds]
+        sites = [
+            item for segment in engine._schedule.segments
+            if isinstance(segment, FusedRun)
+            for item in segment.items if isinstance(item, NoiseSite)
+        ]
+        assert sites
+        for site in sites:
+            for entry, bare in zip(site.paulis, engine._embeds.paulis(site.slots)):
+                for (matrix, plan), (bare_matrix, units) in zip(entry, bare):
+                    assert matrix is bare_matrix
+                    assert plan.units == tuple(units)
 
     def test_all_bare_schedule_stays_off_the_artifact(self):
         compiled = SweepPoint(
@@ -165,8 +182,6 @@ class TestKernelCompilation:
         ).execute().compiled
         bare = TrajectoryEngine(compiled, TABLE1, track_state=True, use_kernel=False)
         assert bare._schedule.segments == tuple(range(len(compiled.ops)))
-        memo = getattr(compiled, "_schedule_memo", {})
-        assert not any(key[0] == "trajectory-kernel" for key in memo)
         fused = TrajectoryEngine(compiled, TABLE1, track_state=True)
         assert fused._schedule is not bare._schedule
         assert bare.run(20, seed=1) == fused.run(20, seed=1)
@@ -238,12 +253,9 @@ class TestStackedFallback:
 
     @pytest.mark.parametrize("bench,size", [("bv", 6), ("teleport", 3)])
     def test_fused_matches_reference_without_wide_panels(self, stacked_only, bench, size):
-        # a fresh backend compiles afresh: the process's shared backend
-        # memoises artifacts that may carry schedules built with wide plans
-        compiled = TrajectoryBackend().compile_point(SweepPoint(
+        compiled = SweepPoint(
             bench, size, "eqm", compiler_kwargs=(("merge_single_qubit_gates", False),)
-        )).compiled
-        assert getattr(compiled, "_schedule_memo", None) is None
+        ).execute().compiled
         engine = TrajectoryEngine(compiled, TABLE1, track_state=True)
         assert set(engine.dims) <= {2, 4}
         plans = list(self._plans(engine._schedule))

@@ -6,7 +6,7 @@ import multiprocessing
 import pickle
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 import pytest
 
@@ -372,9 +372,9 @@ class TestStoredResults:
         assert _publish(store, point, result).name == hashlib.sha256(data).hexdigest()
 
     def test_blob_bytes_do_not_depend_on_engine_caches(self, tmp_path):
-        # Engines over a compiled circuit attach error-site, residency and
-        # kernel-schedule caches to it; a job that simulates a point before
-        # publishing it must still store the same bytes as a bare compile.
+        # A job that simulates a point before publishing it must store the
+        # same bytes as a bare compile: engines keep what they derive from
+        # a compiled circuit to themselves.
         point = SweepPoint(
             "bv", 4, "eqm", compiler_kwargs=(("merge_single_qubit_gates", False),)
         )
@@ -393,9 +393,33 @@ class TestStoredResults:
                 service.results(service.submit(plan), timeout=120)
             blobs[name] = store.get_ref(point_key(point))["blob"]
             compiled = store.get_object(point_key(point)).compiled
-            assert not hasattr(compiled, "_schedule_memo"), name
+            assert set(vars(compiled)) == {f.name for f in fields(compiled)}, name
         assert blobs["event"] == blobs["alone"]
         assert blobs["tracked"] == blobs["alone"]
+
+    def test_compiled_circuit_carries_only_its_fields(self, tmp_path):
+        # every layer that reads a compiled circuit leaves it as compile
+        # returned it: plain frozen data, nothing attached afterwards
+        from repro.analysis import verify_compiled
+        from repro.metrics.eps import evaluate_eps
+        from repro.noise import TrajectoryEngine
+
+        point = SweepPoint(
+            "teleport", 3, "eqm", compiler_kwargs=(("merge_single_qubit_gates", False),)
+        )
+        result = execute_point(point)
+        compiled = result.compiled
+        names = {f.name for f in fields(compiled)}
+        assert set(vars(compiled)) == names
+        evaluate_eps(compiled)
+        assert verify_compiled(compiled).ok
+        noise = NoiseSpec.from_preset("table1")
+        TrajectoryEngine(compiled, noise).run(16, seed=1)
+        TrajectoryEngine(compiled, noise, track_state=True).run(16, seed=1)
+        _publish(ArtifactStore(tmp_path), point, result)
+        assert set(vars(compiled)) == names
+        with pytest.raises(FrozenInstanceError):
+            compiled.ops = []
 
     def test_hit_and_miss_counts_are_exact_across_threads(self, tmp_path):
         store = ArtifactStore(tmp_path)

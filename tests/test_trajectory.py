@@ -428,11 +428,6 @@ class TestFlatChannelExports:
         expected = np.array([-np.expm1(-exponents[q]) for q in qubits])
         assert (gammas == expected).all()
 
-    def test_error_site_schedule_is_cached(self, compiled_bv6):
-        assert compiled_bv6.error_site_schedule() is compiled_bv6.error_site_schedule()
-        assert len(compiled_bv6.error_site_schedule()) == len(compiled_bv6.ops)
-        assert compiled_bv6.residency_segments() is compiled_bv6.residency_segments()
-
 
 class TestZeroShotGuards:
     """Zero-shot results are valid containers, but estimates refuse them clearly."""

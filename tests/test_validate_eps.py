@@ -265,3 +265,31 @@ class TestTrackedValidation:
             assert one.result.outcome_fidelity_sum == pytest.approx(
                 two.result.outcome_fidelity_sum, rel=1e-12
             )
+
+
+class TestCompileCount:
+    def test_default_grid_compiles_each_cell_once(self, monkeypatch):
+        # the default grid has more cells than the backend's compile memo
+        # holds; each cell's shot chunks run right after its compile, so
+        # they still find its artifact there
+        from repro.backends import registry
+        from repro.backends.trajectory import TrajectoryBackend
+        from repro.compiler.pipeline import QompressCompiler
+        from repro.noise.points import _engine_for
+
+        compiles = []
+        original = QompressCompiler.compile
+
+        def counting(compiler, circuit):
+            compiles.append(circuit.name)
+            return original(compiler, circuit)
+
+        monkeypatch.setattr(QompressCompiler, "compile", counting)
+        monkeypatch.setitem(registry._INSTANCES, "trajectory", TrajectoryBackend())
+        _engine_for.cache_clear()
+        rows = validate_eps(shots=200, seed=3)
+        cells = (len(DEFAULT_VALIDATION_BENCHMARKS) * len(DEFAULT_VALIDATION_SIZES)
+                 * len(DEFAULT_VALIDATION_STRATEGIES))
+        assert cells > TrajectoryBackend._MEMO_LIMIT
+        assert len(rows) == cells
+        assert len(compiles) == cells

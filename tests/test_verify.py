@@ -1,5 +1,7 @@
 """Tests for the simulation-based compiled-circuit equivalence checker."""
 
+import dataclasses
+
 import pytest
 
 from repro.arch import Device, grid_topology, linear_topology
@@ -79,8 +81,7 @@ class TestVerificationFailures:
     def test_missing_source_circuit_rejected(self, device, bell_circuit):
         compiler = QompressCompiler(device, get_strategy("qubit_only"),
                                     merge_single_qubit_gates=False)
-        compiled = compiler.compile(bell_circuit)
-        compiled.lowered_circuit = None
+        compiled = dataclasses.replace(compiler.compile(bell_circuit), lowered_circuit=None)
         with pytest.raises(VerificationError, match="lowered source"):
             replay_compiled(compiled)
 
